@@ -13,6 +13,7 @@
 //! `bench --bin engine_ab` driver for the headline ratios.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use des::{NodeSimParams, Workload};
 use petri_core::prelude::*;
 
 /// M/M/1: the minimal open stochastic net.
@@ -110,16 +111,39 @@ fn bench_cpu_net_events(c: &mut Criterion, reference: bool) {
     });
 }
 
+/// The paper's node SCPN with its Fig. 14/15 rewards: the closed net at
+/// the fig14 defaults and the open net at the fig15 defaults, 900 s.
+fn bench_node_net_events(c: &mut Criterion, reference: bool) {
+    for (label, workload) in [
+        ("node_closed_900s", Workload::Closed { interval: 1.0 }),
+        ("node_open_900s", Workload::Open { rate: 1.0 }),
+    ] {
+        let mut params = NodeSimParams::paper_defaults(workload, 0.1);
+        params.horizon = 900.0;
+        let model = wsn::build_node_model(&params);
+        let (sim, _) = wsn::node_simulator(&model, params.horizon);
+        c.bench_function(&format!("{}/{label}", prefix(reference)), |b| {
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                run_once(&sim, seed, reference)
+            })
+        });
+    }
+}
+
 fn all_incremental(c: &mut Criterion) {
     bench_mm1(c, false);
     bench_tandem(c, false);
     bench_cpu_net_events(c, false);
+    bench_node_net_events(c, false);
 }
 
 fn all_reference(c: &mut Criterion) {
     bench_mm1(c, true);
     bench_tandem(c, true);
     bench_cpu_net_events(c, true);
+    bench_node_net_events(c, true);
 }
 
 criterion_group! {

@@ -3,7 +3,9 @@
 //! median of per-pair ratios — robust to the drift of noisy shared-CPU
 //! hosts. Writes `BENCH_engine.json`-ready numbers to stdout.
 //!
-//! Two sweeps per net:
+//! Nets: mm1, tandem lines of 4/16/64 stages, the Fig. 3 CPU net, and the
+//! paper's node SCPN with its Fig. 14/15 rewards (closed at the fig14
+//! defaults, open at the fig15 defaults, 900 s). Two sweeps per net:
 //! * `interp vs reference` — the incremental interpreter against the
 //!   from-scratch reference engine (the historical headline number).
 //! * `lowered vs interp` — the compiled micro-op programs against the
@@ -13,6 +15,7 @@
 //! cargo run --release -p bench --bin engine_ab [pairs_per_net]
 //! ```
 
+use des::{NodeSimParams, Workload};
 use petri_core::prelude::*;
 use std::time::Instant;
 
@@ -135,4 +138,17 @@ fn main() {
     let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(0.1, 0.3));
     let sim = Simulator::new(&model.net, SimConfig::for_horizon(1000.0));
     sweep("fig3_cpu_1000s", &sim, 6, pairs);
+
+    // The paper's node SCPN (Figs. 12/13) with its Fig. 14/15 rewards:
+    // closed workload at the fig14 defaults, open at the fig15 defaults.
+    for (label, workload) in [
+        ("node_closed_900s", Workload::Closed { interval: 1.0 }),
+        ("node_open_900s", Workload::Open { rate: 1.0 }),
+    ] {
+        let mut params = NodeSimParams::paper_defaults(workload, 0.1);
+        params.horizon = 900.0;
+        let model = wsn::build_node_model(&params);
+        let (sim, _) = wsn::node_simulator(&model, params.horizon);
+        sweep(label, &sim, 2, pairs);
+    }
 }

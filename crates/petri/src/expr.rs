@@ -412,16 +412,6 @@ impl CompiledExpr {
         self.stack_needed
     }
 
-    /// If the whole program is a bare `count(place) cmp constant`
-    /// comparison, return its parts — the lowering pass replaces such
-    /// guards/predicates with direct count-threshold ops.
-    pub(crate) fn as_count_cmp(&self) -> Option<(u32, CmpOp, i64)> {
-        match self.ops.as_slice() {
-            [ExprOp::Count(p), ExprOp::ConstI(v), ExprOp::Cmp(op)] => Some((*p, *op, *v)),
-            _ => None,
-        }
-    }
-
     /// Evaluate as a boolean. `stack` is caller-owned scratch (cleared
     /// here); `m` supplies counts.
     #[inline]

@@ -22,10 +22,12 @@ use std::sync::Arc;
 /// The token distribution over all places of a net.
 #[derive(Debug, Clone)]
 pub struct Marking {
-    /// Total tokens per place — the single source of truth for counts.
+    /// Total tokens per place — the single source of truth for counts —
+    /// followed by any hidden count slots (`counts.len() >= colored.len()`).
     counts: Vec<u32>,
-    /// Which places materialize a color bag. Shared between all markings of
-    /// one net (refcounted, never mutated after construction).
+    /// Which places materialize a color bag; its length is the place
+    /// count. Shared between all markings of one net (refcounted, never
+    /// mutated after construction).
     colored: Arc<[bool]>,
     /// FIFO color bags; maintained only for places with `colored[p]`, empty
     /// otherwise (their tokens are implicitly all [`Color::NONE`]).
@@ -72,7 +74,25 @@ impl Marking {
     /// Number of places.
     #[inline]
     pub fn num_places(&self) -> usize {
-        self.counts.len()
+        self.colored.len()
+    }
+
+    /// The place counts, without hidden slots.
+    #[inline]
+    fn place_counts(&self) -> &[u32] {
+        &self.counts[..self.colored.len()]
+    }
+
+    /// Append one hidden count slot holding `n`; returns its raw index
+    /// (past every place index). Engine-private: see the module docs.
+    pub(crate) fn push_hidden(&mut self, n: u32) -> u32 {
+        self.counts.push(n);
+        (self.counts.len() - 1) as u32
+    }
+
+    /// Drop every hidden count slot.
+    pub(crate) fn strip_hidden(&mut self) {
+        self.counts.truncate(self.colored.len());
     }
 
     /// Total tokens in place `p`.
@@ -87,7 +107,8 @@ impl Marking {
         self.counts[p as usize]
     }
 
-    /// The dense count vector (engine and compiled-guard hot path).
+    /// The dense count vector, hidden slots included (engine and
+    /// compiled-guard hot path).
     #[inline]
     pub(crate) fn counts(&self) -> &[u32] {
         &self.counts
@@ -161,24 +182,47 @@ impl Marking {
         }
     }
 
-    /// Bulk-deposit `n` plain tokens into a count-only place (engine fast
-    /// path; the caller guarantees the place is count-only).
+    /// Bulk-deposit `n` plain tokens: raw count arithmetic on a count-only
+    /// place, a hidden slot, or the total of a split colored place (engine
+    /// fast path; for a split place the caller keeps the bag in step with
+    /// [`Marking::bag_push`]).
     #[inline]
     pub(crate) fn add_plain(&mut self, p: u32, n: u32) -> u32 {
-        debug_assert!(!self.colored[p as usize]);
         let c = &mut self.counts[p as usize];
         // Saturating for the same reason as `deposit`.
         *c = c.saturating_add(n);
         *c
     }
 
-    /// Bulk-withdraw `n` plain tokens from a count-only place (engine fast
-    /// path; the caller guarantees enabledness, i.e. `count >= n`).
+    /// Bulk-withdraw `n` plain tokens: the mirror of
+    /// [`Marking::add_plain`] (the caller guarantees enabledness, i.e.
+    /// `count >= n`, and keeps a split place's bag in step with
+    /// [`Marking::bag_take`]).
     #[inline]
     pub(crate) fn sub_plain(&mut self, p: u32, n: u32) {
-        debug_assert!(!self.colored[p as usize]);
         debug_assert!(self.counts[p as usize] >= n);
         self.counts[p as usize] -= n;
+    }
+
+    /// Append `c` to the FIFO bag of colored place `p` without touching
+    /// any count (the order record of a split place; its counts move
+    /// through [`Marking::add_plain`]).
+    #[inline]
+    pub(crate) fn bag_push(&mut self, p: u32, c: Color) {
+        debug_assert!(self.colored[p as usize]);
+        self.colored_tokens += (c != Color::NONE) as u32;
+        self.bags[p as usize].push(c);
+    }
+
+    /// Remove the oldest token of color `c` from the bag of colored place
+    /// `p` without touching any count (the mirror of
+    /// [`Marking::bag_push`]).
+    #[inline]
+    pub(crate) fn bag_take(&mut self, p: u32, c: Color) {
+        debug_assert!(self.colored[p as usize]);
+        let taken = self.bags[p as usize].take_matching(&ColorFilter::Eq(c));
+        debug_assert_eq!(taken, Some(c), "order record out of step with counts");
+        self.colored_tokens -= (c != Color::NONE) as u32;
     }
 
     /// Iterate the colors currently in place `p` (FIFO order; count-only
@@ -198,7 +242,7 @@ impl Marking {
 
     /// Total tokens across all places.
     pub fn total_tokens(&self) -> usize {
-        self.counts.iter().map(|&c| c as usize).sum()
+        self.place_counts().iter().map(|&c| c as usize).sum()
     }
 
     /// A canonical, order-independent key identifying this marking.
@@ -214,13 +258,14 @@ impl Marking {
     /// markings that differ only in FIFO order within a place map to the
     /// same key.
     pub fn canonical_key(&self) -> Vec<u32> {
+        let counts = self.place_counts();
         if self.colored_tokens == 0 {
-            return self.counts.clone();
+            return counts.to_vec();
         }
-        let mut key = Vec::with_capacity(self.colored_tokens as usize + 2 * self.counts.len());
+        let mut key = Vec::with_capacity(self.colored_tokens as usize + 2 * counts.len());
         let mut scratch: Vec<u32> = Vec::new();
-        for i in 0..self.counts.len() {
-            key.push(self.counts[i]);
+        for (i, &n) in counts.iter().enumerate() {
+            key.push(n);
             if self.colored[i] {
                 scratch.clear();
                 scratch.extend(
@@ -240,7 +285,7 @@ impl Marking {
     /// Vector of per-place token counts (ignores colors). Handy for
     /// invariant checking and display.
     pub fn count_vector(&self) -> Vec<usize> {
-        self.counts.iter().map(|&c| c as usize).collect()
+        self.place_counts().iter().map(|&c| c as usize).collect()
     }
 }
 
@@ -251,10 +296,10 @@ impl PartialEq for Marking {
         // order) agree. A count-only place holds `count` implicit
         // `Color::NONE` tokens, so against a materialized bag it is equal
         // exactly when that bag is all-NONE of the same length.
-        if self.counts != other.counts {
+        if self.place_counts() != other.place_counts() {
             return false;
         }
-        for i in 0..self.counts.len() {
+        for i in 0..self.num_places() {
             let equal = match (self.colored[i], other.colored[i]) {
                 (true, true) => self.bags[i] == other.bags[i],
                 (false, false) => true,

@@ -671,6 +671,16 @@ impl<'a> Simulator<'a> {
             .get_or_init(|| super::lower::LoweredNet::build(self))
     }
 
+    /// Whether the lowered program runs the dense loop variant: every
+    /// transition fires by count moves and every enabling condition is a
+    /// count threshold, with no generic colored firing, filtered-condition
+    /// scan or guard program left (the lowering pass's module docs say
+    /// which colored places and guards qualify). A property of the net,
+    /// decided once.
+    pub fn lowers_dense(&self) -> bool {
+        !self.lowered_net().colored
+    }
+
     /// Register a reward measure; the returned id indexes
     /// [`SimOutput::rewards`]. Predicate expressions are compiled to flat
     /// programs here, at setup time.

@@ -9,10 +9,11 @@
 //! simulator** and serializes the result into one contiguous `u32` arena:
 //!
 //! * Each transition gets a **fire section** — SUB/ADD count ops (or one
-//!   generic-fire op for colored transitions) followed by inline condition
-//!   re-evaluation ops (place, threshold, and watching transition baked
-//!   into the op stream; the `cond_epoch` dedup machinery is replaced by a
-//!   precomputed first-touch-order row) and counter-reward hook ops.
+//!   generic-fire op for transitions that stay colored, see below)
+//!   followed by inline condition re-evaluation ops (count index,
+//!   threshold, and watching transition baked into the op stream; the
+//!   `cond_epoch` dedup machinery is replaced by a precomputed
+//!   first-touch-order row) and counter-reward hook ops.
 //! * Each transition gets a **recheck section** — one op per timed
 //!   transition whose clock may need attention after the firing, with the
 //!   *(memory policy × distribution kind)* pair monomorphized into the
@@ -23,6 +24,38 @@
 //!   pass (every timed transition re-checked in definition order).
 //! * Time-based rewards become a flat integration program over dense
 //!   accumulator stripes; counter rewards become hook ops.
+//!
+//! # Colored places, guards and predicates
+//!
+//! Colors are lowered away wherever the net allows, so that colored nets
+//! such as the paper's node SCPN run the dense loop too:
+//!
+//! * **Split colored places.** A colored place whose deposits are all
+//!   [`ColorExpr::Const`] has a finite color domain (those constants plus
+//!   its initial colors). If every input arc withdraws one statically
+//!   known color (`Eq`, or any filter once the domain has one color), every
+//!   inhibitor reads one color or the total, and every transition moving
+//!   its tokens is itself lowered, the place gets one hidden count slot
+//!   per color, appended to the marking past the last place. `Const`
+//!   deposits and `Eq` withdrawals become plain moves on the total plus
+//!   the color's slot; `Eq`-filtered conditions become count records on
+//!   the slot. The place's FIFO bag stays as its order record, kept in
+//!   step by one tail op per move, so final markings keep the reference
+//!   engine's token order. Places fed by `Transfer`/`Choice`, or withdrawn
+//!   with `Any` while they hold several colors, keep the generic path, and
+//!   so does every place a generic transition touches.
+//! * **Conjunctive guards.** A guard that is an `and` of `count cmp const`
+//!   terms (a count being a place total or a split place's color slot)
+//!   becomes one count record per term, each with its own condition slot.
+//! * **Sum predicates.** A predicate reward that is `sum of counts cmp
+//!   const`, or an `or` of "count is positive" terms, becomes one
+//!   sum-of-counts threshold instead of a postfix program.
+//!
+//! None of this rewrites the [`Net`]: transition ids, touched-place rows,
+//! recheck order (hence RNG draw order) and public place indices are
+//! unchanged. What stays colored — generic firing, a filtered condition
+//! on an unsplit place, a guard program — selects the slow-path loop
+//! variant; [`Simulator::lowers_dense`] reports which one a net gets.
 //!
 //! The program encodes *what the interpreter would do*, in the exact same
 //! order, drawing from the RNG at the exact same points — the lowered
@@ -38,42 +71,346 @@ use super::engine::{
     COND_INPUT_ANY, COND_INPUT_FILTERED,
 };
 use super::rewards::RewardSpec;
-use crate::expr::{CmpOp, CompiledExpr};
+use crate::arc::ColorExpr;
+use crate::expr::{CmpOp, Expr};
+use crate::ids::PlaceId;
+use crate::marking::Marking;
+use crate::net::Net;
 use crate::timing::MemoryPolicy;
+use crate::token::{Color, ColorFilter};
 
-/// Reduce a bare `count(place) cmp constant` program to an equivalent
-/// count threshold: the boolean is `(count >= need) ^ lt` — i.e. `count >=
-/// need` when `lt` is false, `count < need` when true. Counts are `u32`,
-/// so every comparison against an in-range constant has such a form
-/// (including the always-true/always-false degenerate ends); only `==` /
-/// `!=` against a nonzero constant does not.
-fn count_cmp_threshold(prog: &CompiledExpr) -> Option<(u32, bool, u32)> {
-    const MAX: i64 = u32::MAX as i64;
-    let (p, op, v) = prog.as_count_cmp()?;
-    let (lt, need) = match op {
-        // `count >= v` / `count > v`: v at or below zero is always true
-        // (GE with need 0), past the count ceiling never true (LT 0).
+/// Reduce `x cmp v` over an integer `x` known to lie in `0..=max` to an
+/// equivalent threshold: the boolean is `(x >= need) ^ lt` — i.e. `x >=
+/// need` when `lt` is false, `x < need` when true. Every comparison
+/// against a constant has such a form (including the always-true /
+/// always-false degenerate ends, which come out as `need == 0`); only `==`
+/// / `!=` against a constant strictly inside `1..=max` does not.
+fn cmp_threshold(op: CmpOp, v: i64, max: i64) -> Option<(bool, i64)> {
+    Some(match op {
+        // `x >= v` / `x > v`: v at or below zero is always true (GE with
+        // need 0), past the ceiling never true (LT 0).
         CmpOp::Ge if v <= 0 => (false, 0),
-        CmpOp::Ge if v > MAX => (true, 0),
+        CmpOp::Ge if v > max => (true, 0),
         CmpOp::Ge => (false, v),
         CmpOp::Gt if v < 0 => (false, 0),
-        CmpOp::Gt if v >= MAX => (true, 0),
+        CmpOp::Gt if v >= max => (true, 0),
         CmpOp::Gt => (false, v + 1),
-        // `count < v` / `count <= v`: mirrored.
+        // `x < v` / `x <= v`: mirrored.
         CmpOp::Lt if v <= 0 => (true, 0),
-        CmpOp::Lt if v > MAX => (false, 0),
+        CmpOp::Lt if v > max => (false, 0),
         CmpOp::Lt => (true, v),
         CmpOp::Le if v < 0 => (true, 0),
-        CmpOp::Le if v >= MAX => (false, 0),
+        CmpOp::Le if v >= max => (false, 0),
         CmpOp::Le => (true, v + 1),
         // Equality only reduces at the range ends.
         CmpOp::Eq if v == 0 => (true, 1),
-        CmpOp::Eq if !(0..=MAX).contains(&v) => (true, 0),
+        CmpOp::Eq if !(0..=max).contains(&v) => (true, 0),
         CmpOp::Ne if v == 0 => (false, 1),
-        CmpOp::Ne if !(0..=MAX).contains(&v) => (false, 0),
+        CmpOp::Ne if !(0..=max).contains(&v) => (false, 0),
         CmpOp::Eq | CmpOp::Ne => return None,
-    };
-    Some((p, lt, need as u32))
+    })
+}
+
+/// [`cmp_threshold`] over one `u32` count.
+fn count_cmp_threshold(op: CmpOp, v: i64) -> Option<(bool, u32)> {
+    cmp_threshold(op, v, u32::MAX as i64).map(|(lt, need)| (lt, need as u32))
+}
+
+/// [`cmp_threshold`] over the sum of `n` `u32` counts.
+fn sum_cmp_threshold(op: CmpOp, v: i64, n: usize) -> Option<(bool, u64)> {
+    let max = (u32::MAX as i64).saturating_mul(n as i64);
+    cmp_threshold(op, v, max).map(|(lt, need)| (lt, need as u64))
+}
+
+/// `a cmp b` rewritten with the operands swapped (`v < x` ⇔ `x > v`).
+fn flip(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+    }
+}
+
+/// Split a comparison into `(operand, op, constant)` with the constant on
+/// the right, if one side is a literal.
+fn cmp_parts(e: &Expr) -> Option<(&Expr, CmpOp, i64)> {
+    match e {
+        Expr::Cmp(a, op, b) => match (&**a, &**b) {
+            (x, Expr::Const(v)) => Some((x, *op, *v)),
+            (Expr::Const(v), x) => Some((x, flip(*op), *v)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Colored-place splitting
+// ---------------------------------------------------------------------------
+
+/// Which count a color filter over a split place reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sel {
+    /// The place total (the filter matches every color the place can hold).
+    Total,
+    /// The hidden per-color slot of this color.
+    Color(Color),
+}
+
+/// Resolve `filter` over a place whose tokens are always drawn from
+/// `domain`: a single matching color, every color (the total), or neither
+/// (`None`: the matching count is a sum the lowering does not track).
+fn resolve(domain: &[Color], filter: &ColorFilter) -> Option<Sel> {
+    match filter {
+        ColorFilter::Any => Some(Sel::Total),
+        // A color outside the domain reads a slot that stays zero.
+        ColorFilter::Eq(c) => Some(Sel::Color(*c)),
+        _ => {
+            let matching: Vec<Color> = domain
+                .iter()
+                .copied()
+                .filter(|&c| filter.matches(c))
+                .collect();
+            match matching[..] {
+                [_, ..] if matching.len() == domain.len() => Some(Sel::Total),
+                [c] => Some(Sel::Color(c)),
+                _ => None,
+            }
+        }
+    }
+}
+
+/// The color an input arc with `filter` withdraws from a place whose
+/// tokens are drawn from `domain`, if it is the same on every firing.
+fn withdrawn_color(domain: &[Color], filter: &ColorFilter) -> Option<Color> {
+    match resolve(domain, filter)? {
+        Sel::Color(c) => Some(c),
+        Sel::Total => match domain {
+            [c] => Some(*c),
+            _ => None,
+        },
+    }
+}
+
+/// The split decision for one net: which colored places get per-color
+/// count slots, and the hidden slots allocated so far.
+///
+/// A colored place is split when every deposit into it is a
+/// [`ColorExpr::Const`] (so its color domain is the finite set of those
+/// constants plus its initial colors), every input arc withdraws one
+/// statically known color (an `Eq` filter, or any filter once the domain
+/// has a single color), every inhibitor reads one color or the total, and
+/// every transition that moves its tokens is itself lowered to count moves
+/// (a fixpoint: a transition left on the generic path un-splits every
+/// place it touches, so generic firing never has to keep slots in step).
+struct Split {
+    np: u32,
+    /// `domain[p]`: the colors split place `p` can hold; `None` when `p`
+    /// is not split (count-only, or colored and left generic).
+    domain: Vec<Option<Vec<Color>>>,
+    /// Hidden slot `k` (raw count index `np + k`) counts color `.1` in
+    /// place `.0`.
+    slots: Vec<(u32, Color)>,
+}
+
+impl Split {
+    fn analyze(net: &Net) -> Split {
+        let np = net.num_places();
+        let colored = |p: PlaceId| net.place_may_hold_colors(p);
+        let mut domain: Vec<Option<Vec<Color>>> = (0..np)
+            .map(|i| {
+                let p = PlaceId::from_index(i);
+                colored(p).then(|| {
+                    let mut d: Vec<Color> = Vec::new();
+                    for &c in &net.place(p).initial {
+                        if !d.contains(&c) {
+                            d.push(c);
+                        }
+                    }
+                    d
+                })
+            })
+            .collect();
+        let ts = net.transitions();
+        for t in ts {
+            for a in &t.outputs {
+                let p = a.place.index();
+                match (&a.color, domain[p].as_mut()) {
+                    (ColorExpr::Const(c), Some(d)) => {
+                        if !d.contains(c) {
+                            d.push(*c);
+                        }
+                    }
+                    (_, Some(_)) => domain[p] = None,
+                    (_, None) => {}
+                }
+            }
+        }
+        for t in ts {
+            for a in &t.inputs {
+                let p = a.place.index();
+                if let Some(d) = &domain[p] {
+                    if withdrawn_color(d, &a.filter).is_none() {
+                        domain[p] = None;
+                    }
+                }
+            }
+            for a in &t.inhibitors {
+                let p = a.place.index();
+                if let Some(d) = &domain[p] {
+                    if resolve(d, &a.filter).is_none() {
+                        domain[p] = None;
+                    }
+                }
+            }
+        }
+        // Fixpoint: un-split every place a generic transition moves tokens
+        // through (removals only ever make more transitions generic).
+        loop {
+            let mut changed = false;
+            for t in ts {
+                if lowerable(net, t, &domain) {
+                    continue;
+                }
+                let places = t.inputs.iter().map(|a| a.place);
+                for p in places.chain(t.outputs.iter().map(|a| a.place)) {
+                    changed |= domain[p.index()].take().is_some();
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        Split {
+            np: np as u32,
+            domain,
+            slots: Vec::new(),
+        }
+    }
+
+    fn domain(&self, p: u32) -> Option<&[Color]> {
+        self.domain[p as usize].as_deref()
+    }
+
+    /// Raw count index of the hidden slot counting color `c` in split
+    /// place `p`, allocating it on first use.
+    fn slot(&mut self, p: u32, c: Color) -> u32 {
+        let k = match self.slots.iter().position(|&s| s == (p, c)) {
+            Some(k) => k,
+            None => {
+                self.slots.push((p, c));
+                self.slots.len() - 1
+            }
+        };
+        self.np + k as u32
+    }
+
+    /// Raw count index a filter over place `p` reads, for split places.
+    fn filter_slot(&mut self, p: u32, filter: &ColorFilter) -> Option<u32> {
+        match resolve(self.domain(p)?, filter)? {
+            Sel::Total => Some(p),
+            Sel::Color(c) => Some(self.slot(p, c)),
+        }
+    }
+
+    /// Raw count index an expression operand reads: `#p` is the total of
+    /// any place; `#p[c]` is a hidden slot of a split place, or the total
+    /// of a count-only place when `c` is [`Color::NONE`].
+    fn operand(&mut self, net: &Net, e: &Expr) -> Option<u32> {
+        match e {
+            Expr::Count(p, None) => Some(p.index() as u32),
+            Expr::Count(p, Some(c)) => {
+                let pi = p.index() as u32;
+                if self.domain(pi).is_some() {
+                    Some(self.slot(pi, *c))
+                } else if !net.place_may_hold_colors(*p) && *c == Color::NONE {
+                    Some(pi)
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        }
+    }
+
+    /// Collect the count indices of a sum of operands (`#a + #b + ...`).
+    fn sum_operands(&mut self, net: &Net, e: &Expr, out: &mut Vec<u32>) -> bool {
+        match e {
+            Expr::Add(a, b) => self.sum_operands(net, a, out) && self.sum_operands(net, b, out),
+            _ => match self.operand(net, e) {
+                Some(i) => {
+                    out.push(i);
+                    true
+                }
+                None => false,
+            },
+        }
+    }
+
+    /// Split a guard into threshold records `(count index, lt, need)`, one
+    /// per conjunct, if every conjunct is `operand cmp constant`.
+    fn guard_terms(&mut self, net: &Net, e: &Expr, out: &mut Vec<(u32, bool, u32)>) -> bool {
+        match e {
+            Expr::And(a, b) => self.guard_terms(net, a, out) && self.guard_terms(net, b, out),
+            _ => {
+                let Some((x, op, v)) = cmp_parts(e) else {
+                    return false;
+                };
+                match (self.operand(net, x), count_cmp_threshold(op, v)) {
+                    (Some(i), Some((lt, need))) => {
+                        out.push((i, lt, need));
+                        true
+                    }
+                    _ => false,
+                }
+            }
+        }
+    }
+
+    /// Reduce a predicate to one sum-of-counts threshold `(count indices,
+    /// lt, need)`: `sum cmp constant`, or an `or` of terms that each say
+    /// "some count is positive" (counts are non-negative, so that is
+    /// `sum >= 1` over the union).
+    fn sum_threshold(&mut self, net: &Net, e: &Expr) -> Option<(Vec<u32>, bool, u64)> {
+        if let Expr::Or(a, b) = e {
+            let (mut pa, lta, na) = self.sum_threshold(net, a)?;
+            let (pb, ltb, nb) = self.sum_threshold(net, b)?;
+            if (lta, na, ltb, nb) != (false, 1, false, 1) {
+                return None;
+            }
+            pa.extend(pb);
+            return Some((pa, false, 1));
+        }
+        let (x, op, v) = cmp_parts(e)?;
+        let mut places = Vec::new();
+        if !self.sum_operands(net, x, &mut places) {
+            return None;
+        }
+        let (lt, need) = sum_cmp_threshold(op, v, places.len())?;
+        Some((places, lt, need))
+    }
+}
+
+/// Can transition `t` fire by count moves alone, given the split places?
+fn lowerable(net: &Net, t: &crate::transition::Transition, domain: &[Option<Vec<Color>>]) -> bool {
+    let colored = |p: PlaceId| net.place_may_hold_colors(p);
+    let split = |p: PlaceId| domain[p.index()].is_some();
+    t.inputs
+        .iter()
+        .all(|a| split(a.place) || (!colored(a.place) && a.filter.matches(Color::NONE)))
+        && t.outputs.iter().all(|a| match &a.color {
+            ColorExpr::Const(_) => split(a.place) || !colored(a.place),
+            // Transfer between count-only places moves a plain token and
+            // draws no RNG.
+            ColorExpr::Transfer { arc_index } => {
+                !colored(a.place) && !colored(t.inputs[*arc_index].place)
+            }
+            // Choice may consume an RNG draw; keep the generic path so the
+            // stream stays aligned.
+            ColorExpr::Choice(_) => false,
+        })
 }
 
 /// Transition-count ceiling for the scan scheduler (scalar and batched
@@ -120,6 +457,12 @@ pub(super) const OP_C_FLT: u32 = 2;
 /// Tail: guard condition `arg` evaluated via compiled program `word1`;
 /// `word2` = tid|flags.
 pub(super) const OP_C_GUARD: u32 = 3;
+/// Tail: order record of split place `arg` — remove the oldest `word2`
+/// tokens of color `word1` from its bag (counts already moved).
+pub(super) const OP_BAG_TAKE: u32 = 4;
+/// Tail: order record of split place `arg` — append `word2` tokens of
+/// color `word1` to its bag (counts already moved).
+pub(super) const OP_BAG_PUT: u32 = 5;
 
 // Recheck ops: `arg` = the timed transition to re-check. The opcode fully
 // determines (memory policy, distribution kind); parameters are inline.
@@ -192,11 +535,25 @@ pub(super) enum IntegOp {
     /// `acc_f[acc] += dt` when `(count(place) >= need) ^ lt` holds (a
     /// `count cmp const` predicate lowered to its threshold form).
     PredCnt {
-        /// Watched place (raw index).
+        /// Watched count (place or hidden slot, raw index).
         place: u32,
-        /// Threshold (see [`count_cmp_threshold`]).
+        /// Threshold (see [`cmp_threshold`]).
         need: u32,
         /// Invert the comparison (`count < need`).
+        lt: bool,
+        /// Target slot in the lane's `f64` accumulator stripe.
+        acc: u32,
+    },
+    /// `acc_f[acc] += dt` when `(sum >= need) ^ lt` holds, `sum` being the
+    /// total of the counts `LoweredNet::integ_places[start..end]`.
+    PredSum {
+        /// Range of watched counts in `LoweredNet::integ_places`.
+        start: u32,
+        /// End of the range.
+        end: u32,
+        /// Threshold (see [`cmp_threshold`]).
+        need: u64,
+        /// Invert the comparison (`sum < need`).
         lt: bool,
         /// Target slot in the lane's `f64` accumulator stripe.
         acc: u32,
@@ -222,6 +579,23 @@ pub(super) enum LoweredReward {
     Count(u32),
 }
 
+/// How a lowered enabling condition is evaluated from scratch when a lane
+/// starts (afterwards the fire sections keep it up to date).
+#[derive(Debug, Clone, Copy)]
+pub(super) enum CondInit {
+    /// `(count(index) >= need) ^ lt` over a place or hidden slot.
+    Count {
+        /// Raw count index.
+        index: u32,
+        /// Invert the comparison.
+        lt: bool,
+        /// Threshold.
+        need: u32,
+    },
+    /// Compiled condition `ci`, evaluated by `CompiledSim::eval_cond`.
+    Compiled(u32),
+}
+
 // ---------------------------------------------------------------------------
 // The lowered program
 // ---------------------------------------------------------------------------
@@ -244,11 +618,21 @@ pub(crate) struct LoweredNet {
     /// Scan scheduling selected (`nt <= SCAN_MAX_TRANSITIONS`).
     pub(super) scan: bool,
     /// Colored/generic features present (generic fire, filtered
-    /// conditions, or guards) — selects the hot-loop variant that carries
-    /// the slow paths.
+    /// conditions, or guard programs) — selects the hot-loop variant that
+    /// carries the slow paths.
     pub(super) colored: bool,
+    /// The lowered enabling conditions, `(watching transition, initial
+    /// evaluation)`, indexed like the lane's `cond_true` stripe. A
+    /// conjunctive guard contributes one per conjunct, so this can be
+    /// longer than the compiled condition table.
+    pub(super) conds: Vec<(u32, CondInit)>,
+    /// Hidden count slots appended to every lane's marking: slot `k` (raw
+    /// index `num_places + k`) counts color `.1` in split place `.0`.
+    pub(super) slots: Vec<(u32, Color)>,
     /// Reward integration program (time-based rewards only).
     pub(super) integ: Vec<IntegOp>,
+    /// Count indices summed by [`IntegOp::PredSum`] records.
+    pub(super) integ_places: Vec<u32>,
     /// Stride of the per-lane `f64` accumulator stripe.
     pub(super) n_integ: usize,
     /// Stride of the per-lane counter accumulator stripe.
@@ -268,9 +652,11 @@ impl LoweredNet {
         assert!(nc < (1 << 24), "condition index must fit a 24-bit op arg");
         assert!(np < (1 << 24), "place index must fit a 24-bit op arg");
         assert!(nt < (1 << 24), "transition index must fit a 24-bit op arg");
+        let mut split = Split::analyze(net);
 
         // --- rewards: dense accumulator slots + finalize mapping ---
         let mut integ = Vec::new();
+        let mut integ_places = Vec::new();
         let mut reward_map = Vec::with_capacity(sim.rewards.len());
         let mut counter_idx = vec![u32::MAX; sim.rewards.len()];
         let (mut n_integ, mut n_count) = (0u32, 0u32);
@@ -284,20 +670,30 @@ impl LoweredNet {
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
-                RewardSpec::Predicate(_) => {
-                    let prog = sim.pred_progs[i]
-                        .as_ref()
-                        .expect("predicate reward has a compiled program");
-                    integ.push(match count_cmp_threshold(prog) {
-                        Some((place, lt, need)) => IntegOp::PredCnt {
-                            place,
-                            need,
+                RewardSpec::Predicate(e) => {
+                    let acc = n_integ;
+                    integ.push(match split.sum_threshold(net, e) {
+                        Some((places, lt, need)) if places.len() == 1 => IntegOp::PredCnt {
+                            place: places[0],
+                            // A single count's threshold fits its width.
+                            need: need as u32,
                             lt,
-                            acc: n_integ,
+                            acc,
                         },
+                        Some((places, lt, need)) => {
+                            let start = integ_places.len() as u32;
+                            integ_places.extend(places);
+                            IntegOp::PredSum {
+                                start,
+                                end: integ_places.len() as u32,
+                                need,
+                                lt,
+                                acc,
+                            }
+                        }
                         None => IntegOp::Pred {
                             prog: i as u32,
-                            acc: n_integ,
+                            acc,
                         },
                     });
                     reward_map.push(LoweredReward::Integral(n_integ));
@@ -317,40 +713,108 @@ impl LoweredNet {
         }
         assert!(n_integ < (1 << 24) && n_count < (1 << 24));
 
+        // --- lowered conditions: one per compiled condition, except that a
+        // conjunctive guard splits into one threshold per conjunct ---
+        let mut colored = false;
+        let mut conds: Vec<(u32, CondInit)> = Vec::with_capacity(nc);
+        let mut lcond_of: Vec<(u32, u32)> = Vec::with_capacity(nc);
+        let mut terms: Vec<(u32, bool, u32)> = Vec::new();
+        for (ci, cond) in cs.conds.iter().enumerate() {
+            let start = conds.len() as u32;
+            let count = |index: u32, lt: bool| CondInit::Count {
+                index,
+                lt,
+                need: cond.need,
+            };
+            match cond.kind {
+                COND_INPUT_ANY => conds.push((cond.tid, count(cond.place, false))),
+                COND_INHIB_ANY => conds.push((cond.tid, count(cond.place, true))),
+                COND_INPUT_FILTERED | COND_INHIB_FILTERED => {
+                    let lt = cond.kind == COND_INHIB_FILTERED;
+                    let filter = &cs.filters[cond.aux as usize];
+                    let init = match split.filter_slot(cond.place, filter) {
+                        Some(index) => count(index, lt),
+                        None => {
+                            colored = true;
+                            CondInit::Compiled(ci as u32)
+                        }
+                    };
+                    conds.push((cond.tid, init));
+                }
+                COND_GUARD => {
+                    let guard = net.transitions()[cond.tid as usize]
+                        .guard
+                        .as_ref()
+                        .expect("guard condition of a guarded transition");
+                    terms.clear();
+                    if split.guard_terms(net, guard, &mut terms) {
+                        for &(index, lt, need) in &terms {
+                            conds.push((cond.tid, CondInit::Count { index, lt, need }));
+                        }
+                    } else {
+                        colored = true;
+                        conds.push((cond.tid, CondInit::Compiled(ci as u32)));
+                    }
+                }
+                _ => unreachable!("invalid condition kind"),
+            }
+            lcond_of.push((start, conds.len() as u32));
+        }
+        assert!(
+            conds.len() < (1 << 24),
+            "condition index must fit a 24-bit op arg"
+        );
+
         // --- per-transition fire + recheck sections ---
         let mut ops: Vec<u32> = Vec::new();
         let mut sec: Vec<u32> = Vec::with_capacity(2 * nt + 1);
         sec.push(0);
-        let mut colored = false;
         let mut seen = vec![false; nc];
         let mut trow: Vec<u32> = Vec::new();
         let mut tail: Vec<u32> = Vec::new();
-        for ti in 0..nt {
+        for (ti, t) in net.transitions().iter().enumerate() {
             // Header slot (counts patched once the section is laid out).
             let hdr_at = ops.len();
             ops.push(0);
             let mut hdr = 0u32;
-            // Token movement: the dense plan inlined as flagged
-            // (place, multiplicity) pairs, or one generic-fire tid word.
+            // Token movement in arc order (inputs, then outputs): flagged
+            // (count index, multiplicity) pairs — a split place moves its
+            // total and its color's slot, and queues an order-record op —
+            // or one generic-fire tid word.
             let mut n_mov = 0u32;
-            match &cs.plans[ti] {
-                Some(plan) => {
-                    let (i0, i1) = plan.ins;
-                    for &(p, m) in &cs.plan_dat[i0 as usize..i1 as usize] {
-                        ops.extend([p, m]);
+            // Order-record ops open the tail: guard programs read colors
+            // through the bags.
+            tail.clear();
+            if lowerable(net, t, &split.domain) {
+                for a in &t.inputs {
+                    let p = a.place.index() as u32;
+                    ops.extend([p, a.multiplicity]);
+                    n_mov += 1;
+                    if let Some(d) = split.domain(p) {
+                        let c =
+                            withdrawn_color(d, &a.filter).expect("split places withdraw one color");
+                        ops.extend([split.slot(p, c), a.multiplicity]);
                         n_mov += 1;
-                    }
-                    let (o0, o1) = plan.outs;
-                    for &(p, m) in &cs.plan_dat[o0 as usize..o1 as usize] {
-                        ops.extend([p | MOV_ADD, m]);
-                        n_mov += 1;
+                        tail.extend([OP_BAG_TAKE | p << 8, c.0, a.multiplicity]);
                     }
                 }
-                None => {
-                    colored = true;
-                    hdr |= HDR_GENERIC;
-                    ops.push(ti as u32);
+                for a in &t.outputs {
+                    let p = a.place.index() as u32;
+                    ops.extend([p | MOV_ADD, a.multiplicity]);
+                    n_mov += 1;
+                    if split.domain(p).is_some() {
+                        let ColorExpr::Const(c) = a.color else {
+                            unreachable!("split places only take constant colors")
+                        };
+                        ops.extend([split.slot(p, c) | MOV_ADD, a.multiplicity]);
+                        n_mov += 1;
+                        tail.extend([OP_BAG_PUT | p << 8, c.0, a.multiplicity]);
+                    }
                 }
+            } else {
+                colored = true;
+                hdr |= HDR_GENERIC;
+                ops.push(ti as u32);
             }
             assert!(n_mov < (1 << 16), "token moves must fit the header");
             // Conditions whose truth can change when `ti` fires, from the
@@ -372,43 +836,41 @@ impl LoweredNet {
                 seen[ci as usize] = false;
             }
             let mut n_cnt = 0u32;
-            tail.clear();
             for &ci in &trow {
-                let cond = &cs.conds[ci as usize];
-                let mut tf = cond.tid;
-                if cs.hot[cond.tid as usize].kind == TimingKind::Immediate {
-                    tf |= TID_IMMEDIATE;
-                }
-                let mut cnt_rec = |ops: &mut Vec<u32>, place: u32, inv: bool, need: u32| {
-                    ops.extend([place | if inv { CNT_INV } else { 0 }, need, ci, tf]);
-                    n_cnt += 1;
-                };
-                match cond.kind {
-                    COND_INPUT_ANY => cnt_rec(&mut ops, cond.place, false, cond.need),
-                    COND_INHIB_ANY => cnt_rec(&mut ops, cond.place, true, cond.need),
-                    COND_INPUT_FILTERED => {
-                        colored = true;
-                        tail.extend([OP_C_FGE | ci << 8, cond.aux, cond.place, cond.need, tf]);
+                let (l0, l1) = lcond_of[ci as usize];
+                for li in l0..l1 {
+                    let (tid, init) = conds[li as usize];
+                    let mut tf = tid;
+                    if cs.hot[tid as usize].kind == TimingKind::Immediate {
+                        tf |= TID_IMMEDIATE;
                     }
-                    COND_INHIB_FILTERED => {
-                        colored = true;
-                        tail.extend([OP_C_FLT | ci << 8, cond.aux, cond.place, cond.need, tf]);
-                    }
-                    COND_GUARD => {
-                        // A `count(p) cmp const` guard lowers to the same
-                        // threshold record as a plain arc condition; only
-                        // structurally complex guards keep the compiled
-                        // postfix program (and force the slow-path
-                        // hot-loop variant).
-                        match count_cmp_threshold(&cs.guards[cond.aux as usize]) {
-                            Some((p, inv, need)) => cnt_rec(&mut ops, p, inv, need),
-                            None => {
-                                colored = true;
-                                tail.extend([OP_C_GUARD | ci << 8, cond.aux, tf]);
+                    match init {
+                        CondInit::Count { index, lt, need } => {
+                            ops.extend([index | if lt { CNT_INV } else { 0 }, need, li, tf]);
+                            n_cnt += 1;
+                        }
+                        CondInit::Compiled(ci) => {
+                            let cond = &cs.conds[ci as usize];
+                            match cond.kind {
+                                COND_INPUT_FILTERED => tail.extend([
+                                    OP_C_FGE | li << 8,
+                                    cond.aux,
+                                    cond.place,
+                                    cond.need,
+                                    tf,
+                                ]),
+                                COND_INHIB_FILTERED => tail.extend([
+                                    OP_C_FLT | li << 8,
+                                    cond.aux,
+                                    cond.place,
+                                    cond.need,
+                                    tf,
+                                ]),
+                                COND_GUARD => tail.extend([OP_C_GUARD | li << 8, cond.aux, tf]),
+                                _ => unreachable!("count conditions always lower to records"),
                             }
                         }
                     }
-                    _ => unreachable!("invalid condition kind"),
                 }
             }
             assert!(n_cnt < (1 << 15), "count conditions must fit the header");
@@ -427,6 +889,10 @@ impl LoweredNet {
             }
             sec.push(ops.len() as u32);
         }
+        assert!(
+            np + split.slots.len() < (1 << 30),
+            "count indices must leave the op flag bits free"
+        );
 
         // Startup program: the interpreter's initial pass re-checks every
         // timed transition in definition order.
@@ -443,11 +909,25 @@ impl LoweredNet {
             init_ops,
             scan: nt <= SCAN_MAX_TRANSITIONS,
             colored,
+            conds,
+            slots: split.slots,
             integ,
+            integ_places,
             n_integ: n_integ as usize,
             n_count: n_count as usize,
             reward_map,
         }
+    }
+
+    /// A lane's starting marking: the net's initial marking plus the
+    /// hidden per-color slots of the split places.
+    pub(super) fn initial_marking(&self, net: &Net) -> Marking {
+        let mut m = net.initial_marking();
+        for &(p, c) in &self.slots {
+            let n = m.count_color(PlaceId(p), c) as u32;
+            m.push_hidden(n);
+        }
+        m
     }
 }
 
@@ -488,8 +968,331 @@ fn emit_recheck(ops: &mut Vec<u32>, cs: &CompiledSim, t2: u32) {
 mod tests {
     use super::*;
     use crate::builder::NetBuilder;
+    use crate::ids::TransitionId;
     use crate::sim::SimConfig;
     use crate::timing::Timing;
+
+    const RED: Color = Color(1);
+    const BLUE: Color = Color(2);
+
+    fn lowered(net: &Net, rewards: &[Expr]) -> LoweredNet {
+        let mut sim = Simulator::new(net, SimConfig::for_horizon(10.0));
+        for e in rewards {
+            sim.reward_predicate(e.clone()).unwrap();
+        }
+        LoweredNet::build(&sim)
+    }
+
+    fn split_places(net: &Net) -> Vec<bool> {
+        let split = Split::analyze(net);
+        split.domain.iter().map(Option::is_some).collect()
+    }
+
+    #[test]
+    fn constant_fed_eq_withdrawn_places_split() {
+        // `q` takes two constant colors and gives them up by `Eq`; `one`
+        // only ever holds one color, so even `Any` withdraws it.
+        let mut b = NetBuilder::new("eligible");
+        let q = b.place("q").token_colored(BLUE).build();
+        let one = b.place("one").build();
+        b.transition("put", Timing::exponential(1.0))
+            .output_colored(q, 1, ColorExpr::Const(RED))
+            .output_colored(one, 1, ColorExpr::Const(RED))
+            .build();
+        b.transition("take_red", Timing::exponential(1.0))
+            .input_filtered(q, 1, ColorFilter::Eq(RED))
+            .build();
+        b.transition("take_blue", Timing::exponential(1.0))
+            .input_filtered(q, 1, ColorFilter::Eq(BLUE))
+            .input(one, 1)
+            .build();
+        let net = b.build().unwrap();
+        assert_eq!(split_places(&net), vec![true, true]);
+        let lw = lowered(&net, &[]);
+        assert!(!lw.colored);
+        // One hidden slot per (place, color) the program reads or moves.
+        let mut slots = lw.slots.clone();
+        slots.sort_by_key(|&(p, c)| (p, c.0));
+        assert_eq!(slots, vec![(0, RED), (0, BLUE), (1, RED)]);
+        // Hidden slots start from the initial marking.
+        let m = lw.initial_marking(&net);
+        let slot = |pc| 2 + lw.slots.iter().position(|&s| s == pc).unwrap() as u32;
+        assert_eq!(m.count_raw(slot((0, BLUE))), 1);
+        assert_eq!(m.count_raw(slot((0, RED))), 0);
+        assert_eq!(m.num_places(), 2);
+    }
+
+    #[test]
+    fn transfer_fed_places_stay_generic() {
+        let mut b = NetBuilder::new("transfer");
+        let src = b.place("src").build();
+        let dst = b.place("dst").build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output_colored(src, 1, ColorExpr::Const(RED))
+            .build();
+        b.transition("copy", Timing::exponential(1.0))
+            .input_filtered(src, 1, ColorFilter::Eq(RED))
+            .output_colored(dst, 1, ColorExpr::Transfer { arc_index: 0 })
+            .build();
+        b.transition("sink", Timing::exponential(1.0))
+            .input_filtered(dst, 1, ColorFilter::Eq(RED))
+            .build();
+        let net = b.build().unwrap();
+        // `dst` is fed by Transfer; `copy` therefore fires generically,
+        // which un-splits `src` too (generic firing keeps no slots).
+        assert_eq!(split_places(&net), vec![false, false]);
+        assert!(lowered(&net, &[]).colored);
+    }
+
+    #[test]
+    fn multi_colored_any_withdrawal_stays_generic() {
+        let mut b = NetBuilder::new("any");
+        let q = b.place("q").build();
+        let other = b.place("other").build();
+        b.transition("put", Timing::exponential(1.0))
+            .output_colored(q, 1, ColorExpr::Const(RED))
+            .output_colored(q, 1, ColorExpr::Const(BLUE))
+            .output_colored(other, 1, ColorExpr::Const(BLUE))
+            .build();
+        b.transition("take", Timing::exponential(1.0))
+            .input(q, 1)
+            .build();
+        b.transition("take_other", Timing::exponential(1.0))
+            .input_filtered(other, 1, ColorFilter::Eq(BLUE))
+            .build();
+        let net = b.build().unwrap();
+        // `q` holds two colors and `take` withdraws whichever is oldest;
+        // `put` then fires generically and un-splits `other` as well.
+        assert_eq!(split_places(&net), vec![false, false]);
+        assert!(lowered(&net, &[]).colored);
+    }
+
+    #[test]
+    fn choice_fed_places_stay_generic() {
+        let mut b = NetBuilder::new("choice");
+        let q = b.place("q").build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output_colored(q, 1, ColorExpr::Choice(vec![(RED, 1.0), (BLUE, 1.0)]))
+            .build();
+        b.transition("take", Timing::exponential(1.0))
+            .input_filtered(q, 1, ColorFilter::Eq(RED))
+            .build();
+        let net = b.build().unwrap();
+        assert_eq!(split_places(&net), vec![false]);
+    }
+
+    /// The node SCPN's shape (Figs. 12/13): a colored `Buffer` fed by
+    /// constant DVS colors and drained by `Eq`-filtered service, a CPU
+    /// cycle guarded by Table XI's `#Buffer == 0 && #Idle > 0`. The real
+    /// model lives in the `wsn` crate, whose tests pin it too.
+    #[test]
+    fn node_shaped_net_lowers_dense() {
+        let mut b = NetBuilder::new("node-shape");
+        let stage = b.place("Stage").tokens(1).build();
+        let handle = b.place("Handle").build();
+        let buffer = b.place("Buffer").build();
+        let idle = b.place("Idle").tokens(1).build();
+        let active = b.place("Active").build();
+        let cpu_done = || Expr::count(buffer).eq_c(0).and(Expr::count(idle).gt_c(0));
+        b.transition("rx", Timing::deterministic(0.1))
+            .input(stage, 1)
+            .output(handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(Color(3)))
+            .build();
+        b.transition("done", Timing::immediate())
+            .input(handle, 1)
+            .output(stage, 1)
+            .guard(cpu_done())
+            .build();
+        b.transition("start", Timing::immediate())
+            .input(idle, 1)
+            .output(active, 1)
+            .guard(Expr::count(buffer).gt_c(0))
+            .build();
+        b.transition("stop", Timing::immediate())
+            .input(active, 1)
+            .output(idle, 1)
+            .guard(Expr::count(buffer).eq_c(0))
+            .build();
+        for level in 1..=3 {
+            b.transition(format!("dvs{level}"), Timing::deterministic(0.01))
+                .input(active, 1)
+                .input_filtered(buffer, 1, ColorFilter::Eq(Color(level)))
+                .output(active, 1)
+                .build();
+        }
+        let net = b.build().unwrap();
+        let active_expr = Expr::count(handle).add(Expr::count(active)).gt_c(0);
+        let lw = lowered(&net, &[active_expr]);
+        assert!(!lw.colored, "node-shaped net left the dense loop");
+        assert!(matches!(
+            lw.integ[..],
+            [IntegOp::PredSum {
+                need: 1,
+                lt: false,
+                ..
+            }]
+        ));
+    }
+
+    #[test]
+    fn conjunctive_guards_split_into_one_record_per_term() {
+        let mut b = NetBuilder::new("guards");
+        let a = b.place("a").build();
+        let z = b.place("z").tokens(1).build();
+        let q = b.place("q").build();
+        b.transition("gen", Timing::exponential(1.0))
+            .output(a, 1)
+            .output_colored(q, 1, ColorExpr::Const(RED))
+            .build();
+        // `#a == 0 && #z > 0 && 2 >= #q[RED]`: three thresholds, one of
+        // them on a hidden slot and one with the constant on the left.
+        let both = b
+            .transition("both", Timing::exponential(1.0))
+            .input(z, 1)
+            .output(z, 1)
+            .guard(
+                Expr::count(a)
+                    .eq_c(0)
+                    .and(Expr::count(z).gt_c(0))
+                    .and(Expr::constant(2).ge(Expr::count_color(q, RED))),
+            )
+            .build();
+        // A sum is not a conjunction of thresholds: one program record.
+        let sum = b
+            .transition("sum", Timing::exponential(1.0))
+            .input(a, 1)
+            .input_filtered(q, 1, ColorFilter::Eq(RED))
+            .guard(Expr::count(a).add(Expr::count(z)).le_c(3))
+            .build();
+        let net = b.build().unwrap();
+        let lw = lowered(&net, &[]);
+        let conds_of = |t: TransitionId| -> Vec<CondInit> {
+            lw.conds
+                .iter()
+                .filter(|c| c.0 == t.0)
+                .map(|c| c.1)
+                .collect()
+        };
+        let red = 3 + lw.slots.iter().position(|&s| s == (2, RED)).unwrap() as u32;
+        let guard_terms: Vec<(u32, bool, u32)> = conds_of(both)
+            .into_iter()
+            .filter_map(|c| match c {
+                CondInit::Count { index, lt, need } if index != z.0 || lt || need != 1 => {
+                    Some((index, lt, need))
+                }
+                CondInit::Count { .. } => None, // the input arc on `z`
+                CondInit::Compiled(_) => panic!("guard term left as a program"),
+            })
+            .collect();
+        assert_eq!(guard_terms, vec![(0, true, 1), (red, true, 3)]);
+        // `#z > 0` reduces to the same record as the input arc on `z`.
+        assert_eq!(conds_of(both).len(), 4);
+        assert!(matches!(conds_of(sum)[..], [_, _, CondInit::Compiled(_)]));
+        assert!(lw.colored, "the program guard keeps the slow-path loop");
+    }
+
+    #[test]
+    fn threshold_forms_agree_with_the_comparison_at_the_edges() {
+        // For every operator and constant near both ends of the range,
+        // the threshold form equals the comparison on every value near
+        // both ends — the single-count and the sum-of-counts reductions.
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for n in [1usize, 2, 6] {
+            let max = u32::MAX as i64 * n as i64;
+            let consts = [i64::MIN, -2, -1, 0, 1, 2, max - 1, max, max + 1, i64::MAX];
+            let xs = [0, 1, 2, 3, max - 2, max - 1, max];
+            for op in ops {
+                for v in consts {
+                    let form = if n == 1 {
+                        count_cmp_threshold(op, v).map(|(lt, need)| (lt, need as u64))
+                    } else {
+                        sum_cmp_threshold(op, v, n)
+                    };
+                    let Some((lt, need)) = form else {
+                        // Only an interior equality has no threshold form.
+                        assert!(matches!(op, CmpOp::Eq | CmpOp::Ne) && 0 < v && v <= max);
+                        continue;
+                    };
+                    for x in xs {
+                        let want = match op {
+                            CmpOp::Eq => x == v,
+                            CmpOp::Ne => x != v,
+                            CmpOp::Lt => x < v,
+                            CmpOp::Le => x <= v,
+                            CmpOp::Gt => x > v,
+                            CmpOp::Ge => x >= v,
+                        };
+                        assert_eq!((x as u64 >= need) != lt, want, "n={n} {op} {v} at {x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radio_predicates_reduce_to_sum_thresholds() {
+        let mut b = NetBuilder::new("radio");
+        let ps: Vec<PlaceId> = (0..4).map(|i| b.place(format!("p{i}")).build()).collect();
+        b.transition("t", Timing::exponential(1.0))
+            .input(ps[0], 1)
+            .output(ps[1], 1)
+            .build();
+        let net = b.build().unwrap();
+        let c = |i: usize| Expr::count(ps[i]);
+        let lw = lowered(
+            &net,
+            &[
+                // The two radio shapes of the node rewards.
+                c(0).gt_c(0).or(c(1).gt_c(0)),
+                c(0).add(c(1)).add(c(2)).gt_c(0),
+                // Edges: always true, never true, a single count.
+                c(0).add(c(1)).ge_c(-3),
+                c(2).add(c(3)).gt_c(u32::MAX as i64 * 2),
+                c(3).ne(Expr::constant(0)),
+                // Not reducible: an interior equality, and an `or` whose
+                // terms are not "count is positive".
+                c(0).add(c(1)).eq_c(2),
+                c(0).gt_c(1).or(c(1).gt_c(0)),
+            ],
+        );
+        let sum = |op: &IntegOp| match *op {
+            IntegOp::PredSum {
+                start,
+                end,
+                need,
+                lt,
+                ..
+            } => Some((
+                lw.integ_places[start as usize..end as usize].to_vec(),
+                lt,
+                need,
+            )),
+            _ => None,
+        };
+        assert_eq!(sum(&lw.integ[0]), Some((vec![0, 1], false, 1)));
+        assert_eq!(sum(&lw.integ[1]), Some((vec![0, 1, 2], false, 1)));
+        assert_eq!(sum(&lw.integ[2]), Some((vec![0, 1], false, 0)));
+        assert_eq!(sum(&lw.integ[3]), Some((vec![2, 3], true, 0)));
+        assert!(matches!(
+            lw.integ[4],
+            IntegOp::PredCnt {
+                place: 3,
+                need: 1,
+                lt: false,
+                ..
+            }
+        ));
+        assert!(matches!(lw.integ[5], IntegOp::Pred { prog: 5, .. }));
+        assert!(matches!(lw.integ[6], IntegOp::Pred { prog: 6, .. }));
+    }
 
     #[test]
     fn f64_immediates_round_trip() {

@@ -20,7 +20,11 @@
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
 //!   resolved per net, not per event ([`Lane::run`] is instantiated per
 //!   `(SCAN, GEN)` const-generic pair, selected once in
-//!   [`LoweredEngine::run_all`]).
+//!   [`LoweredEngine::run_all`]). Colored places the lowering splits into
+//!   per-color count slots (see [`super::lower`]) run in the dense
+//!   `GEN = false` variant: their moves are count moves plus an
+//!   order-record tail op, and the lane's marking carries the hidden slots
+//!   until [`LoweredEngine::finalize`] strips them.
 //!
 //! # Determinism
 //!
@@ -39,10 +43,10 @@ use super::engine::{
     TimingKind, NOT_QUEUED, ST_ENABLED, ST_RESAMPLE, ST_SCHEDULED,
 };
 use super::lower::{
-    dec_f64, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, OP_C_FGE, OP_C_FLT,
-    OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP, OP_RA_UNI, OP_RE_DET, OP_RE_ERL,
-    OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE,
-    TID_IMMEDIATE,
+    dec_f64, CondInit, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD,
+    OP_BAG_PUT, OP_BAG_TAKE, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL,
+    OP_RA_EXP, OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL,
+    OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE, TID_IMMEDIATE,
 };
 use super::trace::TraceBuffer;
 use crate::error::SimError;
@@ -149,6 +153,11 @@ struct Shared<'x> {
     init_ops: &'x [u32],
     /// Reward integration program.
     integ: &'x [IntegOp],
+    /// Count indices summed by [`IntegOp::PredSum`] records.
+    integ_places: &'x [u32],
+    /// Hidden count slots of the split places (debug oracle only).
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    slots: &'x [(u32, Color)],
     /// The dominant "one time-averaged place count" reward shape,
     /// pre-matched so per-event integration is a single multiply-add.
     integ1: Option<(u32, u32)>,
@@ -244,6 +253,26 @@ impl<'x> Lane<'x> {
     #[cfg(not(debug_assertions))]
     #[inline(always)]
     fn oracle_imm_index(&self, _sh: &Shared<'_>) {}
+
+    /// Every hidden slot equals its color's count in the split place's
+    /// order record, and every split total equals the record's length.
+    #[cfg(debug_assertions)]
+    fn oracle_split(&self, sh: &Shared<'_>) {
+        let np = self.marking.num_places() as u32;
+        for (k, &(p, c)) in sh.slots.iter().enumerate() {
+            let pid = PlaceId(p);
+            debug_assert_eq!(
+                self.marking.count_raw(np + k as u32) as usize,
+                self.marking.count_color(pid, c),
+                "hidden slot of color {c} in place {p} out of step"
+            );
+            debug_assert_eq!(self.marking.count(pid), self.marking.colors(pid).count());
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn oracle_split(&self, _sh: &Shared<'_>) {}
 
     // ---- enabled-immediates index ----
 
@@ -462,6 +491,20 @@ impl<'x> Lane<'x> {
                         self.acc_c[(w >> 8) as usize] += 1;
                     }
                     pc += 1;
+                }
+                OP_BAG_TAKE => {
+                    let c = Color(ops[pc + 1]);
+                    for _ in 0..ops[pc + 2] {
+                        self.marking.bag_take(w >> 8, c);
+                    }
+                    pc += 3;
+                }
+                OP_BAG_PUT => {
+                    let c = Color(ops[pc + 1]);
+                    for _ in 0..ops[pc + 2] {
+                        self.marking.bag_push(w >> 8, c);
+                    }
+                    pc += 3;
                 }
                 OP_C_FGE if GEN => {
                     let filter = &sh.cs.filters[ops[pc + 1] as usize];
@@ -723,6 +766,21 @@ impl<'x> Lane<'x> {
                         self.acc_f[acc as usize] += dt;
                     }
                 }
+                IntegOp::PredSum {
+                    start,
+                    end,
+                    need,
+                    lt,
+                    acc,
+                } => {
+                    let sum: u64 = sh.integ_places[start as usize..end as usize]
+                        .iter()
+                        .map(|&p| self.marking.count_raw(p) as u64)
+                        .sum();
+                    if (sum >= need) != lt {
+                        self.acc_f[acc as usize] += dt;
+                    }
+                }
                 IntegOp::Pred { prog, acc } => {
                     let prog = sh.pred_progs[prog as usize]
                         .as_ref()
@@ -790,6 +848,7 @@ impl<'x> Lane<'x> {
             let ti = chosen as usize;
             let (f0, f1, r1) = sh.sections(ti);
             self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
+            self.oracle_split(sh);
             self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
             self.bump_zero(sh)?;
         }
@@ -836,6 +895,7 @@ impl<'x> Lane<'x> {
                     self.sched_state[ti] &= !ST_SCHEDULED;
                     let (f0, f1, r1) = sh.sections(ti);
                     self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
+                    self.oracle_split(sh);
                     self.bump_zero(sh)?;
                     self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
                     self.immediates::<SCAN, GEN>(sh)?;
@@ -927,7 +987,7 @@ impl<'e> LoweredEngine<'e> {
         let lw = sim.lowered_net();
         let lanes = seeds.len();
         let nt = net.num_transitions();
-        let nc = cs.conds.len();
+        let nc = lw.conds.len();
         let ni = cs.immediates.len();
         let pred_stack = sim
             .pred_progs
@@ -957,7 +1017,7 @@ impl<'e> LoweredEngine<'e> {
             rng: seeds.iter().map(|&s| SimRng::seed_from_u64(s)).collect(),
             now: vec![0.0; lanes],
             zero: vec![0; lanes],
-            markings: (0..lanes).map(|_| net.initial_marking()).collect(),
+            markings: (0..lanes).map(|_| lw.initial_marking(net)).collect(),
             heaps: (0..lanes)
                 .map(|_| Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }))
                 .collect(),
@@ -989,19 +1049,26 @@ impl<'e> LoweredEngine<'e> {
         eng
     }
 
-    /// Evaluate every condition from scratch and build the enabled sets
-    /// (start of run only; identical to the interpreter's).
+    /// Evaluate every lowered condition from scratch and build the
+    /// enabled sets (start of run only; the same enabled sets as the
+    /// interpreter's).
     fn init_conditions(&mut self, l: usize) {
         let cs = self.cs;
         let tb = l * self.nt;
         let cb = l * self.nc;
         let ib = l * self.ni;
         self.unsat[tb..tb + self.nt].copy_from_slice(&cs.base_unsat);
-        for (ci, cond) in cs.conds.iter().enumerate() {
-            let t = cs.eval_cond(&self.markings[l], &mut self.guard_scratch, cond);
-            self.cond_true[cb + ci] = t;
+        for (li, &(tid, init)) in self.lw.conds.iter().enumerate() {
+            let m = &self.markings[l];
+            let t = match init {
+                CondInit::Count { index, lt, need } => (m.count_raw(index) >= need) != lt,
+                CondInit::Compiled(ci) => {
+                    cs.eval_cond(m, &mut self.guard_scratch, &cs.conds[ci as usize])
+                }
+            };
+            self.cond_true[cb + li] = t;
             if !t {
-                self.unsat[tb + cond.tid as usize] += 1;
+                self.unsat[tb + tid as usize] += 1;
             }
         }
         for ti in 0..self.nt {
@@ -1046,6 +1113,8 @@ impl<'e> LoweredEngine<'e> {
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
             integ: &self.lw.integ,
+            integ_places: &self.lw.integ_places,
+            slots: &self.lw.slots,
             integ1: match self.lw.integ.as_slice() {
                 [IntegOp::Place { place, acc }] => Some((*place, *acc)),
                 _ => None,
@@ -1160,12 +1229,14 @@ impl<'e> LoweredEngine<'e> {
             })
             .collect();
         let trace = std::mem::take(&mut self.traces[l]);
+        let mut final_marking = self.markings[l].clone();
+        final_marking.strip_hidden();
         SimOutput {
             end_time: end,
             observed_time: observed,
             rewards,
             firing_counts: self.firing_counts[tb..tb + self.nt].to_vec(),
-            final_marking: self.markings[l].clone(),
+            final_marking,
             trace_dropped: trace.dropped,
             trace: trace.into_events(),
         }

@@ -340,6 +340,147 @@ fn lowered_differential_token_overflow_errors() {
     );
 }
 
+// --- colored-place splitting ----------------------------------------------
+
+/// The paper's node SCPNs (Fig. 12 closed at the fig14 defaults, Fig. 13
+/// open at the fig15 defaults) with their Fig. 14/15 rewards, across the
+/// PDT extremes and the optimum: `Buffer` is split into per-color counts
+/// and the Table XI guard into thresholds, and every engine must still
+/// agree bit for bit, final-marking FIFO order included.
+#[test]
+fn lowered_differential_node_nets() {
+    use des::{NodeSimParams, Workload};
+    for workload in [
+        Workload::Closed { interval: 1.0 },
+        Workload::Open { rate: 1.0 },
+    ] {
+        for pdt in [1e-6, 0.00177, 0.1, 100.0] {
+            let params = NodeSimParams::paper_defaults(workload, pdt);
+            let model = wsn::build_node_model(&params);
+            let (sim, _) = wsn::node_simulator(&model, 60.0);
+            assert!(
+                sim.lowers_dense(),
+                "{} fell back to the generic loop",
+                model.net.name
+            );
+            assert_lowered_identical(&sim, &format!("{} pdt {pdt}", model.net.name));
+        }
+    }
+}
+
+/// A split place that holds several colors at once: two constant-color
+/// sources feed `q`, `Eq`-filtered servers drain it at different rates, a
+/// single-color `In` filter withdraws like `Eq`, and a conjunctive guard
+/// reads per-color counts. The final markings' FIFO order inside `q` is
+/// the order record's job.
+#[test]
+fn lowered_differential_split_place_keeps_fifo_order() {
+    let (red, blue, green) = (Color(1), Color(2), Color(7));
+    let mut b = NetBuilder::new("split-fifo");
+    let q = b
+        .place("q")
+        .token_colored(blue)
+        .token_colored(red)
+        .token_colored(blue)
+        .build();
+    let done = b.place("done").build();
+    let gate = b.place("gate").tokens(1).build();
+    b.transition("src_red", Timing::exponential(1.3))
+        .output_colored(q, 1, ColorExpr::Const(red))
+        .build();
+    b.transition("src_blue", Timing::exponential(0.4))
+        .output_colored(q, 2, ColorExpr::Const(blue))
+        .build();
+    b.transition("serve_red", Timing::exponential(1.1))
+        .input_filtered(q, 1, ColorFilter::Eq(red))
+        .output(done, 1)
+        .build();
+    b.transition("serve_blue", Timing::deterministic(0.8))
+        .input_filtered(q, 1, ColorFilter::In(vec![blue, green]))
+        .output(done, 1)
+        .inhibitor_filtered(q, 6, ColorFilter::Eq(red))
+        .guard(
+            Expr::count_color(q, blue)
+                .gt_c(1)
+                .and(Expr::count(gate).ge_c(1)),
+        )
+        .build();
+    b.transition("serve_never", Timing::exponential(5.0))
+        .input_filtered(q, 1, ColorFilter::Eq(green))
+        .build();
+    b.transition("recolor", Timing::immediate())
+        .input_filtered(q, 2, ColorFilter::Eq(red))
+        .output_colored(q, 1, ColorExpr::Const(blue))
+        .guard(Expr::count(q).ge_c(5))
+        .build();
+    b.transition("drain", Timing::exponential(4.0))
+        .input(done, 1)
+        .build();
+    b.transition("flap", Timing::uniform(0.5, 1.5))
+        .input(gate, 1)
+        .output(gate, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut cfg = SimConfig::for_horizon(120.0).with_trace(64);
+    cfg.max_tokens_per_place = 60;
+    let mut sim = Simulator::new(&net, cfg);
+    sim.reward_place(q);
+    sim.reward_predicate(Expr::count_color(q, red).gt_c(2))
+        .unwrap();
+    sim.reward_predicate(
+        Expr::count_color(q, red)
+            .gt_c(0)
+            .or(Expr::count(done).gt_c(0)),
+    )
+    .unwrap();
+    assert!(sim.lowers_dense(), "split-fifo should lower dense");
+    assert_lowered_identical(&sim, "split-fifo");
+    // The check is not vacuous: some run ends with mixed colors in `q`.
+    let mixed = SEEDS.into_iter().any(|seed| {
+        let m = sim.run(seed).map(|o| o.final_marking);
+        m.is_ok_and(|m| {
+            let colors: Vec<Color> = m.colors(q).collect();
+            colors.contains(&red) && colors.contains(&blue)
+        })
+    });
+    assert!(mixed, "no run ended with mixed colors in the split place");
+}
+
+/// Colored places the lowering must leave on the generic path: one fed by
+/// `Transfer`, and one withdrawn with `Any` while it holds two colors.
+#[test]
+fn lowered_differential_ineligible_colored_places() {
+    let mut b = NetBuilder::new("ineligible");
+    let src = b.place("src").build();
+    let mixed = b.place("mixed").build();
+    let copied = b.place("copied").build();
+    b.transition("gen", Timing::exponential(2.0))
+        .output_colored(src, 1, ColorExpr::Const(Color(1)))
+        .output_colored(mixed, 1, ColorExpr::Const(Color(2)))
+        .build();
+    b.transition("gen_mixed", Timing::exponential(1.0))
+        .output_colored(mixed, 1, ColorExpr::Const(Color(3)))
+        .build();
+    b.transition("copy", Timing::exponential(3.0))
+        .input_filtered(src, 1, ColorFilter::Eq(Color(1)))
+        .output_colored(copied, 1, ColorExpr::Transfer { arc_index: 0 })
+        .build();
+    b.transition("take_any", Timing::exponential(2.5))
+        .input(mixed, 1)
+        .build();
+    b.transition("take_copied", Timing::exponential(2.5))
+        .input_filtered(copied, 1, ColorFilter::Eq(Color(1)))
+        .guard(Expr::count_color(mixed, Color(2)).le_c(3))
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(150.0));
+    sim.reward_place(mixed);
+    sim.reward_predicate(Expr::count_color(copied, Color(1)).gt_c(0))
+        .unwrap();
+    assert!(!sim.lowers_dense(), "ineligible places must stay generic");
+    assert_lowered_identical(&sim, "ineligible");
+}
+
 // --- randomized cross-engine agreement -------------------------------------
 
 /// One random uncolored transition description.
@@ -448,8 +589,166 @@ fn build_random_net(tokens: &[u32], transitions: &[RandTransition]) -> Net {
     b.build().unwrap()
 }
 
+/// One random colored transition description. The small integer codes
+/// are chosen so that split-eligible places (constant deposits, `Eq`
+/// withdrawals, per-color and conjunctive guards) and ineligible ones
+/// (`Transfer`/`Choice` deposits, multi-color `Any`/`In`/`Ne` withdrawals,
+/// unreducible guards) both come up.
+#[derive(Debug, Clone)]
+struct RandColored {
+    timing: u8,
+    rate: f64,
+    priority: u8,
+    /// (place, multiplicity, filter code, color).
+    input: (usize, u32, u8, u32),
+    /// (place, multiplicity, color-expression code, color, second color).
+    output: Option<(usize, u32, u8, u32, u32)>,
+    /// (place, threshold, filter code, color).
+    inhibitor: Option<(usize, u32, u8, u32)>,
+    /// (guard code, place, color, constant, second place).
+    guard: Option<(u8, usize, u32, i64, usize)>,
+}
+
+fn arb_colored(places: usize) -> impl Strategy<Value = RandColored> {
+    (
+        0u8..4,
+        0.5f64..5.0,
+        1u8..4,
+        (0..places, 1u32..3, 0u8..5, 0u32..4),
+        proptest::option::of((0..places, 1u32..3, 0u8..5, 0u32..4, 0u32..4)),
+        proptest::option::of((0..places, 1u32..4, 0u8..5, 0u32..4)),
+        proptest::option::of((0u8..5, 0..places, 0u32..4, 0i64..3, 0..places)),
+    )
+        .prop_map(
+            |(timing, rate, priority, input, output, inhibitor, guard)| RandColored {
+                timing,
+                rate,
+                priority,
+                input,
+                output,
+                inhibitor,
+                guard,
+            },
+        )
+}
+
+fn rand_filter(code: u8, c: u32) -> ColorFilter {
+    match code {
+        0 => ColorFilter::Any,
+        1 | 2 => ColorFilter::Eq(Color(c)),
+        3 => ColorFilter::In(vec![Color(c), Color(c + 1)]),
+        _ => ColorFilter::Ne(Color(c)),
+    }
+}
+
+fn rand_guard(code: u8, p: PlaceId, c: u32, v: i64, p2: PlaceId) -> Expr {
+    let c = Color(c);
+    match code {
+        0 => Expr::count_color(p, c).le_c(v),
+        // The Table XI shape: `#p == 0 && #p2 > v`.
+        1 => Expr::count(p).eq_c(0).and(Expr::count(p2).gt_c(v)),
+        2 => Expr::count_color(p, c)
+            .ge_c(v)
+            .and(Expr::constant(v + 1).ge(Expr::count(p2)))
+            .and(Expr::count_color(p2, c).lt_c(v + 2)),
+        3 => Expr::count(p).add(Expr::count(p2)).le_c(v),
+        _ => Expr::count(p).gt_c(0).or(Expr::count_color(p2, c).eq_c(0)),
+    }
+}
+
+fn build_random_colored_net(tokens: &[(u32, u32)], transitions: &[RandColored]) -> Net {
+    let mut b = NetBuilder::new("random-colored");
+    let places: Vec<_> = tokens
+        .iter()
+        .enumerate()
+        .map(|(i, &(n, c))| {
+            let mut pb = b.place(format!("p{i}"));
+            for _ in 0..n {
+                pb = pb.token_colored(Color(c));
+            }
+            pb.build()
+        })
+        .collect();
+    for (i, t) in transitions.iter().enumerate() {
+        let timing = match t.timing {
+            0 => Timing::exponential(t.rate),
+            1 => Timing::deterministic(1.0 / t.rate),
+            2 => Timing::uniform(0.1, 0.1 + 1.0 / t.rate),
+            _ => Timing::Immediate {
+                priority: t.priority,
+                weight: t.rate,
+            },
+        };
+        let (p, m, f, c) = t.input;
+        let mut tb =
+            b.transition(format!("t{i}"), timing)
+                .input_filtered(places[p], m, rand_filter(f, c));
+        if let Some((p, m, e, c, c2)) = t.output {
+            let expr = match e {
+                0..=2 => ColorExpr::Const(Color(c)),
+                3 => ColorExpr::Transfer { arc_index: 0 },
+                _ => ColorExpr::Choice(vec![(Color(c), 1.0), (Color(c2), 2.0)]),
+            };
+            tb = tb.output_colored(places[p], m, expr);
+        }
+        if let Some((p, th, f, c)) = t.inhibitor {
+            tb = tb.inhibitor_filtered(places[p], th, rand_filter(f, c));
+        }
+        if let Some((g, p, c, v, p2)) = t.guard {
+            tb = tb.guard(rand_guard(g, places[p], c, v, places[p2]));
+        }
+        tb.build();
+    }
+    b.build().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random small colored nets: the split analysis, per-color slots,
+    /// order records, guard splitting and sum predicates must leave every
+    /// engine in bit-for-bit agreement, final-marking FIFO order and error
+    /// outcomes included.
+    #[test]
+    fn random_colored_nets_agree_across_all_engines(
+        tokens in proptest::collection::vec((0u32..3, 0u32..4), 2..5),
+        transitions in proptest::collection::vec(arb_colored(2), 2..6),
+        seed in 0u64..10_000,
+    ) {
+        let np = tokens.len();
+        let transitions: Vec<RandColored> = transitions
+            .into_iter()
+            .map(|mut t| {
+                t.input.0 %= np;
+                if let Some(o) = &mut t.output { o.0 %= np; }
+                if let Some(i) = &mut t.inhibitor { i.0 %= np; }
+                if let Some(g) = &mut t.guard { g.1 %= np; g.4 %= np; }
+                t
+            })
+            .collect();
+        let net = build_random_colored_net(&tokens, &transitions);
+        let mut cfg = SimConfig::for_horizon(25.0);
+        cfg.max_tokens_per_place = 200;
+        let mut sim = Simulator::new(&net, cfg);
+        let (p0, p1) = (PlaceId::from_index(0), PlaceId::from_index(1));
+        sim.reward_place(p0);
+        sim.reward_predicate(Expr::count(p0).gt_c(0).or(Expr::count(p1).gt_c(0))).unwrap();
+        sim.reward_predicate(Expr::count(p0).add(Expr::count(p1)).ge_c(2)).unwrap();
+        sim.reward_predicate(Expr::count_color(p1, Color(1)).gt_c(0)).unwrap();
+        let reference = sim.run_reference(seed);
+        let interp = sim.run_interp(seed);
+        let lowered = sim.run_lowered(seed);
+        assert_same_result(&lowered, &interp, "random colored net scalar");
+        assert_same_result(&lowered, &reference, "random colored net vs reference");
+        let batcher = BatchSimulator::new(&sim);
+        let seeds = [seed, seed + 1, seed + 2];
+        let lowered_batch = batcher.run_lowered(&seeds);
+        let interp_batch = batcher.run_interp(&seeds);
+        for i in 0..seeds.len() {
+            assert_same_result(&lowered_batch[i], &interp_batch[i], "random colored net batched");
+        }
+        assert_same_result(&lowered_batch[0], &lowered, "random colored net batch lane 0");
+    }
 
     /// Random small nets: every engine — reference, interpreter, lowered,
     /// and both batched paths — must agree bit-for-bit on the outcome,

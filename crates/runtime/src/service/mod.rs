@@ -463,6 +463,11 @@ impl Service {
     /// submissions are refused, queued-job fetch waiters are woken with a
     /// typed failure, and in-flight executions finish normally.
     pub fn stop(&self) {
+        // Dispatchers (`next_claim`) and fetch waiters (`wait`) check the
+        // flag under the table lock and then wait on a condvar. Setting it
+        // and notifying under that lock means no waiter can sit between
+        // its check and its wait, where the only wake-up would be lost.
+        let _table = self.table.lock().expect("table lock");
         self.stopping.store(true, Ordering::SeqCst);
         self.work.notify_all();
         self.job_done.notify_all();
@@ -487,6 +492,8 @@ impl Service {
                     .set(table.queued_len() as i64);
                 return Some(claimed);
             }
+            #[cfg(test)]
+            tests::linger_before_wait(self);
             table = self.work.wait(table).expect("table lock");
         }
     }
@@ -1284,6 +1291,59 @@ mod tests {
         // And the door is closed for new work.
         let err = svc.submit(mul_manifest(2, 2)).unwrap_err();
         assert!(err.contains("stopping"), "{err}");
+    }
+
+    /// Armed with one service's address, that service's idle dispatchers
+    /// announce on the channel that they sit between their stopping check
+    /// and their condvar wait, then linger there (holding the table lock)
+    /// so a test can call `stop` inside the window.
+    type WindowHook = Option<(usize, std::sync::mpsc::Sender<()>)>;
+    static WINDOW_HOOK: Mutex<WindowHook> = Mutex::new(None);
+
+    pub(super) fn linger_before_wait(service: &Service) {
+        let hook = WINDOW_HOOK.lock().expect("hook lock").clone();
+        if let Some((addr, tx)) = hook {
+            if addr == service as *const Service as usize && tx.send(()).is_ok() {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+        }
+    }
+
+    #[test]
+    fn stopping_idle_dispatchers_never_hangs() {
+        // Regression: stop() used to set its flag without the table lock,
+        // so a dispatcher between its stopping check and its condvar wait
+        // missed the only wake-up and joining it hung forever. First force
+        // that interleaving (the dispatcher announces it is in the window,
+        // then stop() runs), then start and stop a daemon with idle
+        // dispatchers many times — all under a bounded wait.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..10 {
+                let svc = Arc::new(Service::new(mem_only_cfg(), registry()));
+                let (tx, rx) = std::sync::mpsc::channel();
+                *WINDOW_HOOK.lock().unwrap() = Some((Arc::as_ptr(&svc) as usize, tx));
+                let dispatcher = {
+                    let svc = svc.clone();
+                    std::thread::spawn(move || scheduler::dispatcher_loop(&svc))
+                };
+                rx.recv().expect("the dispatcher reaches its wait");
+                *WINDOW_HOOK.lock().unwrap() = None;
+                svc.stop();
+                dispatcher.join().expect("dispatcher exits cleanly");
+            }
+            for _ in 0..100 {
+                let cfg = ServiceConfig {
+                    dispatchers: 4,
+                    ..mem_only_cfg()
+                };
+                ServiceHandle::start(cfg, registry()).stop();
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("stop hung: an idle dispatcher missed its wake-up");
     }
 
     #[test]

@@ -46,10 +46,13 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use crate::wire::{self, Reader, WireError};
 
-/// Spans kept in the ring buffer before the oldest are dropped. Sized
-/// for a few thousand jobs' worth of coarse spans; overflow is counted,
-/// never an error.
-pub const RING_CAPACITY: usize = 64 * 1024;
+/// Spans kept in the ring buffer before the oldest are dropped: several
+/// hundred jobs' worth of coarse spans (a 24-point sweep records about
+/// 25). At ~90 bytes a span the full ring is ~1.4 MB; it is the one
+/// allocation of a long-running process that grows with the number of
+/// jobs it has run, so it is kept small. Overflow is counted, never an
+/// error.
+pub const RING_CAPACITY: usize = 16 * 1024;
 
 /// Spans a flight-recorder post-mortem keeps (the *last* N of the
 /// failing trace).

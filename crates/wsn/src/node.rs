@@ -377,29 +377,39 @@ impl NodePetriResult {
     }
 }
 
-/// Simulate the node SCPN and collect all Fig. 14/15 measures.
-pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult {
-    let model = build_node_model(params);
+/// Reward handles of a node simulator built by [`node_simulator`].
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRewards {
+    /// CPU `[sleep, wakeup, idle, active]` token averages.
+    pub cpu: [RewardId; 4],
+    /// Radio `[sleep, wakeup, idle, active]` predicate fractions.
+    pub radio: [RewardId; 4],
+    /// CPU wake-up firings.
+    pub cpu_wakeups: RewardId,
+    /// Cycle-start firings.
+    pub cycles_started: RewardId,
+    /// Computation→TX firings (the radio's second wake-up per cycle).
+    pub comp_done: RewardId,
+    /// Completed cycles.
+    pub cycles_done: RewardId,
+}
+
+/// A simulator over `model` with every Fig. 14/15 measure registered.
+pub fn node_simulator(model: &NodeModel, horizon: f64) -> (Simulator<'_>, NodeRewards) {
     let p = &model.places;
-    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(params.horizon));
+    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(horizon));
 
     // CPU state fractions: one token-average per power-state place.
-    let r_cpu_sleep = sim.reward_place(p.cpu_sleep);
-    let r_cpu_wake = sim.reward_place(p.cpu_wake);
-    let r_cpu_idle = sim.reward_place(p.cpu_idle);
-    let r_cpu_active = sim.reward_place(p.cpu_active);
+    let cpu = [p.cpu_sleep, p.cpu_wake, p.cpu_idle, p.cpu_active].map(|q| sim.reward_place(q));
 
     // Radio state fractions: predicates over the stage places.
-    let r_radio_sleep = sim
-        .reward_predicate(Expr::count(p.wait).gt_c(0))
-        .expect("valid predicate");
-    let r_radio_wake = sim
-        .reward_predicate(
-            Expr::count(p.rx_start)
-                .gt_c(0)
-                .or(Expr::count(p.tx_start).gt_c(0)),
-        )
-        .expect("valid predicate");
+    let mut predicate = |e: Expr| sim.reward_predicate(e).expect("valid predicate");
+    let r_radio_sleep = predicate(Expr::count(p.wait).gt_c(0));
+    let r_radio_wake = predicate(
+        Expr::count(p.rx_start)
+            .gt_c(0)
+            .or(Expr::count(p.tx_start).gt_c(0)),
+    );
     let active_expr = Expr::count(p.rx_listen)
         .add(Expr::count(p.rx_data))
         .add(Expr::count(p.rx_handle))
@@ -407,34 +417,31 @@ pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult
         .add(Expr::count(p.tx_data))
         .add(Expr::count(p.tx_handle))
         .gt_c(0);
-    let r_radio_active = sim.reward_predicate(active_expr).expect("valid predicate");
-    let r_radio_idle = sim
-        .reward_predicate(Expr::count(p.comp_handle).gt_c(0))
-        .expect("valid predicate");
+    let r_radio_active = predicate(active_expr);
+    let r_radio_idle = predicate(Expr::count(p.comp_handle).gt_c(0));
 
-    let r_cpu_wakeups = sim.reward_firings(model.transitions.cpu_wakeup);
-    let r_cycles_started = sim.reward_firings(model.transitions.cycle_start);
-    let r_comp_done = sim.reward_firings(model.transitions.comp_done);
-    let r_cycles_done = sim.reward_firings(model.transitions.cycle_done);
+    let rewards = NodeRewards {
+        cpu,
+        radio: [r_radio_sleep, r_radio_wake, r_radio_idle, r_radio_active],
+        cpu_wakeups: sim.reward_firings(model.transitions.cpu_wakeup),
+        cycles_started: sim.reward_firings(model.transitions.cycle_start),
+        comp_done: sim.reward_firings(model.transitions.comp_done),
+        cycles_done: sim.reward_firings(model.transitions.cycle_done),
+    };
+    (sim, rewards)
+}
 
+/// Simulate the node SCPN and collect all Fig. 14/15 measures.
+pub fn simulate_node_model(params: &NodeSimParams, seed: u64) -> NodePetriResult {
+    let model = build_node_model(params);
+    let (sim, r) = node_simulator(&model, params.horizon);
     let out = sim.run(seed).expect("node net cannot livelock or overflow");
-
     NodePetriResult {
-        cpu_probabilities: [
-            out.reward(r_cpu_sleep),
-            out.reward(r_cpu_wake),
-            out.reward(r_cpu_idle),
-            out.reward(r_cpu_active),
-        ],
-        radio_probabilities: [
-            out.reward(r_radio_sleep),
-            out.reward(r_radio_wake),
-            out.reward(r_radio_idle),
-            out.reward(r_radio_active),
-        ],
-        cpu_wakeups: out.reward(r_cpu_wakeups),
-        radio_wakeups: out.reward(r_cycles_started) + out.reward(r_comp_done),
-        cycles_completed: out.reward(r_cycles_done),
+        cpu_probabilities: r.cpu.map(|id| out.reward(id)),
+        radio_probabilities: r.radio.map(|id| out.reward(id)),
+        cpu_wakeups: out.reward(r.cpu_wakeups),
+        radio_wakeups: out.reward(r.cycles_started) + out.reward(r.comp_done),
+        cycles_completed: out.reward(r.cycles_done),
         horizon: params.horizon,
     }
 }
@@ -451,6 +458,19 @@ mod tests {
 
     fn open(pdt: f64) -> NodeSimParams {
         NodeSimParams::paper_defaults(Workload::Open { rate: 1.0 }, pdt)
+    }
+
+    #[test]
+    fn node_nets_lower_to_the_dense_loop() {
+        // The colored `Buffer` splits into per-color counts and the Table XI
+        // guard into count thresholds, so both node nets run the lowered
+        // engine's dense loop. An edit to the model that falls back to the
+        // generic colored path fails here.
+        for params in [closed(0.01), open(0.01)] {
+            let model = build_node_model(&params);
+            let (sim, _) = node_simulator(&model, 10.0);
+            assert!(sim.lowers_dense(), "{} left the dense loop", model.net.name);
+        }
     }
 
     #[test]
