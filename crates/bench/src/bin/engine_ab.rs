@@ -5,11 +5,9 @@
 //!
 //! Nets: mm1, tandem lines of 4/16/64 stages, the Fig. 3 CPU net, and the
 //! paper's node SCPN with its Fig. 14/15 rewards (closed at the fig14
-//! defaults, open at the fig15 defaults, 900 s). Two sweeps per net:
-//! * `interp vs reference` — the incremental interpreter against the
-//!   from-scratch reference engine (the historical headline number).
-//! * `lowered vs interp` — the compiled micro-op programs against the
-//!   interpreter they replaced as the default.
+//! defaults, open at the fig15 defaults, 900 s). One sweep per net:
+//! `lowered vs reference` — the lowered engine behind `Simulator::run`
+//! against the from-scratch reference engine it is tested against.
 //!
 //! ```text
 //! cargo run --release -p bench --bin engine_ab [pairs_per_net]
@@ -22,7 +20,6 @@ use std::time::Instant;
 #[derive(Clone, Copy)]
 enum Engine {
     Lowered,
-    Interp,
     Reference,
 }
 
@@ -63,8 +60,7 @@ fn time_block(sim: &Simulator<'_>, seed0: u64, runs: u64, engine: Engine) -> (f6
     let mut firings = 0u64;
     for i in 0..runs {
         let out = match engine {
-            Engine::Lowered => sim.run_lowered(seed0 + i).unwrap(),
-            Engine::Interp => sim.run_interp(seed0 + i).unwrap(),
+            Engine::Lowered => sim.run(seed0 + i).unwrap(),
             Engine::Reference => sim.run_reference(seed0 + i).unwrap(),
         };
         firings += out.total_firings();
@@ -72,44 +68,21 @@ fn time_block(sim: &Simulator<'_>, seed0: u64, runs: u64, engine: Engine) -> (f6
     (t0.elapsed().as_nanos() as f64 / runs as f64, firings)
 }
 
-/// One paired sweep: engine `a` against engine `b` (speedup = b/a).
-fn measure(
-    label: &str,
-    sim: &Simulator<'_>,
-    runs_per_block: u64,
-    pairs: usize,
-    (a, b): (Engine, Engine),
-    arm: &str,
-) {
+/// One paired sweep: the lowered engine against the reference engine
+/// (speedup = reference / lowered).
+fn sweep(label: &str, sim: &Simulator<'_>, runs_per_block: u64, pairs: usize) {
+    let block =
+        |p: usize, engine| time_block(sim, (p as u64) * runs_per_block + 1, runs_per_block, engine);
     let stats = bench::ab::run_paired(
         pairs,
-        |p| time_block(sim, (p as u64) * runs_per_block + 1, runs_per_block, a),
-        |p| time_block(sim, (p as u64) * runs_per_block + 1, runs_per_block, b),
+        |p| block(p, Engine::Lowered),
+        |p| block(p, Engine::Reference),
     );
     println!(
-        "{label:<20} {arm:<22} base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x",
+        "{label:<20} lowered vs reference   base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x",
         stats.b_ns / 1e6,
         stats.a_ns / 1e6,
         stats.speedup,
-    );
-}
-
-fn sweep(label: &str, sim: &Simulator<'_>, runs_per_block: u64, pairs: usize) {
-    measure(
-        label,
-        sim,
-        runs_per_block,
-        pairs,
-        (Engine::Interp, Engine::Reference),
-        "interp vs reference",
-    );
-    measure(
-        label,
-        sim,
-        runs_per_block,
-        pairs,
-        (Engine::Lowered, Engine::Interp),
-        "lowered vs interp",
     );
 }
 

@@ -43,16 +43,6 @@
 //!   Giving more than one of `--shards`/`--hosts`/`--service` explicitly
 //!   is an error; when one comes from the environment instead, precedence
 //!   is `service > hosts > shards` (warned on stderr).
-//! * `--batch N` (falling back to `REPRO_BATCH`, falling back to 1 =
-//!   scalar) — cross-replication batch width: each worker claims runs of
-//!   up to `N` contiguous same-point replications and advances them
-//!   together through the batched engine. Purely a throughput knob —
-//!   results are byte-identical at every width.
-//! * `--engine interp|lowered` (exported as `REPRO_ENGINE`, so worker
-//!   subprocesses inherit it; default `lowered`) — which stepping engine
-//!   `Simulator`/`BatchSimulator` use: the compiled micro-op programs or
-//!   the incremental interpreter. Another pure throughput knob: outputs
-//!   are byte-identical on either engine (CI diffs the artifacts).
 //! * `--profile` (exported as `REPRO_PROFILE=1`, so worker subprocesses
 //!   inherit it) — arm the per-transition engine profiler: firing counts
 //!   and attributed nanoseconds per transition, printed as a table on
@@ -171,10 +161,6 @@ struct Opts {
     fault: FaultPolicy,
     /// Warm worker/peer pooling (`--pool` > `REPRO_POOL` > on).
     pool: bool,
-    /// Cross-replication batch width (`--batch` > `REPRO_BATCH` > 1 =
-    /// scalar). Purely a throughput knob: results are byte-identical at
-    /// every width.
-    batch: usize,
     /// Deterministic chaos injection, armed from `REPRO_CHAOS_*`.
     chaos: Option<ChaosConfig>,
 }
@@ -194,7 +180,6 @@ impl Opts {
         base.with_fault(self.fault)
             .with_pool(self.pool)
             .with_chaos(self.chaos)
-            .with_batch(self.batch)
     }
 
     /// The one adaptive replication budget shared by every stochastic
@@ -274,7 +259,6 @@ fn main() {
     let mut retry: Option<usize> = None;
     let mut io_timeout: Option<f64> = None;
     let mut pool: Option<bool> = None;
-    let mut batch: Option<usize> = None;
     let mut targets: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -293,18 +277,8 @@ fn main() {
                 Some(b) => pool = Some(b),
                 _ => flag_err("--pool", "on or off"),
             },
-            "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
-                _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
-            },
             // Exported via the environment rather than plumbed through
-            // `Opts` so shard/worker subprocesses inherit the selection.
-            "--engine" => match it.next().map(|v| v.as_str()) {
-                Some(v @ ("interp" | "lowered")) => std::env::set_var("REPRO_ENGINE", v),
-                _ => flag_err("--engine", "interp or lowered"),
-            },
-            // Environment-exported like --engine, so shard/worker
-            // subprocesses profile too.
+            // `Opts`, so shard/worker subprocesses profile too.
             "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => threads = Some(n),
@@ -363,7 +337,6 @@ fn main() {
         .unwrap_or_else(sim_runtime::default_threads);
     let (shards, hosts, service) = resolve_executor(shards, hosts, service, true);
     let (fault, pool, chaos) = resolve_fault(retry, io_timeout, pool);
-    let batch = resolve_batch(batch);
     let opts = Opts {
         quick,
         threads,
@@ -373,13 +346,12 @@ fn main() {
         fixed_reps,
         fault,
         pool,
-        batch,
         chaos,
     };
 
     if targets.is_empty() {
         eprintln!(
-            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--batch N] [--engine interp|lowered] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
+            "usage: repro [--quick] [--threads N] [--shards N] [--hosts a:p,b:p] [--service a:p] [--profile] [--retry N] [--io-timeout SECS] [--pool on|off] [--fixed-reps] <target>...   (try: repro all)\n       repro serve --listen a:p [--http a:p] | repro submit|status|fetch|watch|cancel|trace|stats|stop --service a:p ... | repro cache gc [--cache-dir DIR] [--budget BYTES]"
         );
         std::process::exit(2);
     }
@@ -561,19 +533,6 @@ fn resolve_fault(
     (fault, pool, chaos)
 }
 
-/// Resolve the cross-replication batch width: `--batch` > `REPRO_BATCH` >
-/// 1 (scalar), with an explicit flag winning over a differing environment
-/// value with a warning. Zero or unparseable environment values are
-/// ignored, the same leniency as the other knobs.
-fn resolve_batch(batch: Option<usize>) -> usize {
-    pick_knob(
-        "REPRO_BATCH",
-        batch,
-        env_knob::<usize>("REPRO_BATCH").filter(|n| *n >= 1),
-        1,
-    )
-}
-
 /// One fault knob: flag > environment > default, warning when an explicit
 /// flag overrides a differing environment value.
 fn pick_knob<T: PartialEq + Copy + std::fmt::Display>(
@@ -642,7 +601,6 @@ fn serve_mode(args: &[String]) {
     let mut retry: Option<usize> = None;
     let mut io_timeout: Option<f64> = None;
     let mut pool_flag: Option<bool> = None;
-    let mut batch: Option<usize> = None;
     let mut fallback = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -700,15 +658,7 @@ fn serve_mode(args: &[String]) {
                 Some(b) => pool_flag = Some(b),
                 _ => flag_err("--pool", "on or off"),
             },
-            "--batch" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
-                _ => flag_err("--batch", "a positive replication count (1 = scalar)"),
-            },
             // Environment-exported so shard/worker subprocesses inherit it.
-            "--engine" => match it.next().map(|v| v.as_str()) {
-                Some(v @ ("interp" | "lowered")) => std::env::set_var("REPRO_ENGINE", v),
-                _ => flag_err("--engine", "interp or lowered"),
-            },
             "--profile" => std::env::set_var("REPRO_PROFILE", "1"),
             "--fallback" => fallback = true,
             other => {
@@ -725,7 +675,7 @@ fn serve_mode(args: &[String]) {
         std::process::exit(2);
     }
     let Some(addr) = listen else {
-        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--batch N] [--engine interp|lowered] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
+        eprintln!("usage: repro serve --listen ADDR [--http ADDR] [--threads N] [--shards N | --hosts a:p,b:p] [--profile] [--queue-capacity N] [--dispatchers N] [--mem-cache N] [--cache-dir DIR | --no-disk-cache] [--cache-budget BYTES] [--retry N] [--io-timeout SECS] [--pool on|off] [--fallback]");
         std::process::exit(2);
     };
     let threads = threads
@@ -733,7 +683,6 @@ fn serve_mode(args: &[String]) {
         .unwrap_or_else(sim_runtime::default_threads);
     let (shards, hosts, _) = resolve_executor(shards, hosts, None, false);
     let (mut fault, pool, chaos) = resolve_fault(retry, io_timeout, pool_flag);
-    let batch = resolve_batch(batch);
     if fallback {
         fault.fallback = true;
     }
@@ -744,11 +693,7 @@ fn serve_mode(args: &[String]) {
     } else {
         Exec::in_process(threads)
     };
-    let exec = exec
-        .with_fault(fault)
-        .with_pool(pool)
-        .with_chaos(chaos)
-        .with_batch(batch);
+    let exec = exec.with_fault(fault).with_pool(pool).with_chaos(chaos);
     eprintln!(
         "[serve] backend: {}; queue capacity {queue_capacity}; {dispatchers} dispatcher(s); \
          mem cache {mem_cache} entries; disk cache {}{}",

@@ -1,12 +1,12 @@
 //! The lowering pass: compile one (net × rewards) into a flat micro-op
 //! program that the lowered engine ([`super::lowered`]) executes directly.
 //!
-//! The incremental interpreter ([`super::engine`]) still walks the compiled
-//! net per event: it matches on the distribution kind and memory policy of
-//! every re-scheduled transition, chases `Option<DensePlan>` and CSR
-//! indirections, and re-dispatches on condition kinds that are invariant
-//! for a given net. This module runs all of those decisions **once per
-//! simulator** and serializes the result into one contiguous `u32` arena:
+//! Walking the compiled net (`CompiledSim`) per event would mean matching
+//! on the distribution kind and memory policy of every re-scheduled
+//! transition, chasing CSR indirections, and re-dispatching on condition
+//! kinds that are invariant for a given net. This module runs all of those
+//! decisions **once per simulator** and serializes the result into one
+//! contiguous `u32` arena:
 //!
 //! * Each transition gets a **fire section** — SUB/ADD count ops (or one
 //!   generic-fire op for transitions that stay colored, see below)
@@ -20,7 +20,7 @@
 //!   opcode itself and the distribution parameters inlined as immediate
 //!   words. The per-event `match` on `TimingKind`/`MemoryPolicy`
 //!   disappears; an exponential RaceEnable re-check is a single opcode.
-//! * A **startup program** replays the interpreter's initial scheduling
+//! * A **startup program** replays the reference engine's initial scheduling
 //!   pass (every timed transition re-checked in definition order).
 //! * Time-based rewards become a flat integration program over dense
 //!   accumulator stripes; counter rewards become hook ops.
@@ -57,14 +57,13 @@
 //! on an unsplit place, a guard program — selects the slow-path loop
 //! variant; [`Simulator::lowers_dense`] reports which one a net gets.
 //!
-//! The program encodes *what the interpreter would do*, in the exact same
-//! order, drawing from the RNG at the exact same points — the lowered
-//! engine's outputs are bit-identical to the interpreter's and the
-//! reference engine's, which `tests/lowered_differential.rs` proves on
-//! every variant. Feature specialization (scan-vs-heap scheduling,
-//! colored-vs-count-only firing) is selected once per net and baked into
-//! const-generic instantiations of the hot loop, so the per-event path has
-//! no dynamic dispatch left.
+//! The program encodes *what the reference engine would do*, in the exact
+//! same order, drawing from the RNG at the exact same points — the lowered
+//! engine's outputs are bit-identical to the reference engine's, which
+//! `tests/lowered_differential.rs` proves on every variant. Feature
+//! specialization (scan-vs-heap scheduling, colored-vs-count-only firing)
+//! is selected once per net and baked into const-generic instantiations of
+//! the hot loop, so the per-event path has no dynamic dispatch left.
 
 use super::engine::{
     CompiledSim, Simulator, TimingKind, COND_GUARD, COND_INHIB_ANY, COND_INHIB_FILTERED,
@@ -413,11 +412,10 @@ fn lowerable(net: &Net, t: &crate::transition::Transition, domain: &[Option<Vec<
         })
 }
 
-/// Transition-count ceiling for the scan scheduler (scalar and batched
-/// lowered runs, and the interpreter's batch engine). Below it, the next
-/// event is found by scanning the lane's contiguous `fire_at` stripe (at
-/// 32 transitions the stripe is 256 bytes — four cache lines); above it,
-/// per-lane lazy-deletion 4-ary heaps take over.
+/// Transition-count ceiling for the scan scheduler. Below it, the next
+/// event is found by scanning the run's contiguous `fire_at` array (at 32
+/// transitions the array is 256 bytes — four cache lines); above it, a
+/// lazy-deletion 4-ary heap takes over.
 pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
 
 // ---------------------------------------------------------------------------
@@ -894,7 +892,7 @@ impl LoweredNet {
             "count indices must leave the op flag bits free"
         );
 
-        // Startup program: the interpreter's initial pass re-checks every
+        // Startup program: the reference engine's initial pass re-checks every
         // timed transition in definition order.
         let mut init_ops = Vec::new();
         for t2 in 0..nt {

@@ -1,46 +1,36 @@
 //! Direct-threaded execution of lowered stepping programs.
 //!
-//! [`LoweredEngine`] is the default executor behind both `Simulator::run`
-//! (one lane) and `BatchSimulator::run` (many lanes): every lane advances
-//! to completion in [`Lane::run`], a single fused loop that executes the
-//! net's [`LoweredNet`] micro-op program. The scalar and batched hot paths
-//! are therefore *the same code* — there is no separate scalar firing
-//! logic to keep in sync (the interpreter survives as the differential
-//! oracle and A/B baseline, not as a second production path).
+//! `LoweredEngine` is the production executor behind `Simulator::run`:
+//! a run advances to completion in [`Lane::run`], a single fused loop that
+//! executes the net's [`LoweredNet`] micro-op program.
 //!
-//! Two levers distinguish this from the interpreter's batch engine:
-//!
-//! * **Per-lane local slices.** Lane state is carved out of the SoA arenas
-//!   once per lane into a [`Lane`] of `&mut [..]` slices of length
-//!   `nt`/`nc`, so the hot loop indexes `fire_at[ti]` instead of
-//!   `self.fire_at[l * nt + ti]` — no per-access base+offset arithmetic,
-//!   and the slice lengths give the optimizer bounds it can hoist.
+//! * **Local slices.** The run's state is lent to a [`Lane`] of
+//!   `&mut [..]` slices of length `nt`/`nc`, so the slice lengths give the
+//!   optimizer bounds it can hoist out of the hot loop.
 //! * **Monomorphized ops.** The per-event work is a walk over flat op
 //!   words with parameters inline; distribution sampling, memory-policy
 //!   handling, scan-vs-heap scheduling and colored-vs-dense firing are all
 //!   resolved per net, not per event ([`Lane::run`] is instantiated per
-//!   `(SCAN, GEN)` const-generic pair, selected once in
-//!   [`LoweredEngine::run_all`]). Colored places the lowering splits into
-//!   per-color count slots (see [`super::lower`]) run in the dense
-//!   `GEN = false` variant: their moves are count moves plus an
-//!   order-record tail op, and the lane's marking carries the hidden slots
-//!   until [`LoweredEngine::finalize`] strips them.
+//!   `(SCAN, GEN)` const-generic pair, selected once in `run_single`).
+//!   Colored places the lowering splits into per-color count slots (see
+//!   [`super::lower`]) run in the dense `GEN = false` variant: their moves
+//!   are count moves plus an order-record tail op, and the marking carries
+//!   the hidden slots until `LoweredEngine::finalize` strips them.
 //!
 //! # Determinism
 //!
-//! The op program replays the interpreter's exact operation sequence: same
-//! RNG draw order, same comparison order, same error precedence, same
+//! The op program replays the reference engine's exact operation sequence:
+//! same RNG draw order, same comparison order, same error precedence, same
 //! event order (the scan scheduler's min-`(fire_at, tid)` is provably the
 //! heap's valid-pop order). Outputs are **bit-identical** to
-//! `Simulator::run_interp` and `run_reference` at every batch width —
-//! `tests/lowered_differential.rs` and the CI repro byte-comparison prove
-//! it, and debug builds additionally shadow the first lowered run per
-//! simulator with the interpreter plus cross-check the incremental
-//! enabling state against full rescans on every visited transition.
+//! `Simulator::run_reference` — `tests/lowered_differential.rs` and the CI repro
+//! byte-comparison prove it, and debug builds additionally shadow the
+//! first run per simulator with the reference engine plus cross-check the
+//! incremental enabling state against full rescans on every visited
+//! transition.
 
 use super::engine::{
-    effective_token_limit, heap_less, CompiledSim, HeapEntry, SimConfig, SimOutput, Simulator,
-    TimingKind, NOT_QUEUED, ST_ENABLED, ST_RESAMPLE, ST_SCHEDULED,
+    effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
 };
 use super::lower::{
     dec_f64, CondInit, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD,
@@ -58,37 +48,52 @@ use crate::rng::SimRng;
 use crate::timing::MemoryPolicy;
 use crate::token::Color;
 
-/// Run one replication on the lowered engine (the scalar entry point).
+/// Run one replication on the lowered engine.
 pub(super) fn run_single(sim: &Simulator<'_>, seed: u64) -> Result<SimOutput, SimError> {
-    LoweredEngine::new(sim, &[seed], &[sim.cfg.end_time])
-        .run_all()
-        .pop()
-        .expect("one lane in, one result out")
-}
-
-/// Assert two engine results are bit-identical (debug oracle).
-#[cfg(debug_assertions)]
-pub(super) fn debug_assert_outputs_eq(
-    lowered: &Result<SimOutput, SimError>,
-    interp: &Result<SimOutput, SimError>,
-) {
-    match (lowered, interp) {
-        (Ok(a), Ok(b)) => {
-            debug_assert_eq!(a.rewards, b.rewards, "lowered rewards diverged");
-            debug_assert_eq!(a.firing_counts, b.firing_counts, "firing counts diverged");
-            debug_assert_eq!(a.final_marking, b.final_marking, "final marking diverged");
-            debug_assert_eq!(a.trace, b.trace, "trace diverged");
-            debug_assert_eq!(a.trace_dropped, b.trace_dropped);
-            debug_assert_eq!(a.observed_time, b.observed_time);
-        }
-        (Err(a), Err(b)) => debug_assert_eq!(a, b, "lowered error diverged"),
-        (a, b) => panic!("lowered engine diverged from the interpreter: {a:?} vs {b:?}"),
+    let eng = LoweredEngine::new(sim, seed);
+    match (eng.lw.scan, eng.lw.colored) {
+        (true, false) => eng.run::<true, false>(),
+        (true, true) => eng.run::<true, true>(),
+        (false, false) => eng.run::<false, false>(),
+        (false, true) => eng.run::<false, true>(),
     }
 }
 
+/// `imm_pos` entry of a transition not in the enabled-immediates index.
+const NOT_QUEUED: u32 = u32::MAX;
+
+// Per-transition scheduling state byte: lets the post-firing re-check loop
+// skip settled transitions on a single byte compare.
+/// Transition is enabled (unsatisfied-condition counter is zero).
+const ST_ENABLED: u8 = 0b001;
+/// Transition has a pending event in the heap.
+const ST_SCHEDULED: u8 = 0b010;
+/// Transition has the Resample memory policy (static).
+const ST_RESAMPLE: u8 = 0b100;
+
 // ---------------------------------------------------------------------------
-// 4-ary lazy-deletion heap (free functions over one lane's heap)
+// 4-ary lazy-deletion heap (free functions over the run's heap)
 // ---------------------------------------------------------------------------
+
+/// One pending firing. Entries are never removed on cancellation — the
+/// per-transition generation counter marks them stale, and the main loop
+/// discards stale entries as they surface. Min-order on `(time, tid, gen)`:
+/// ties at the same instant fire in definition order.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    time: f64,
+    tid: u32,
+    gen: u64,
+}
+
+#[inline]
+fn heap_less(a: &HeapEntry, b: &HeapEntry) -> bool {
+    match a.time.total_cmp(&b.time) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Greater => false,
+        std::cmp::Ordering::Equal => (a.tid, a.gen) < (b.tid, b.gen),
+    }
+}
 
 #[inline]
 fn heap_push(heap: &mut Vec<HeapEntry>, e: HeapEntry) {
@@ -138,12 +143,12 @@ fn heap_pop(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared (immutable) context + one lane's mutable state
+// Shared (immutable) context + the run's mutable state
 // ---------------------------------------------------------------------------
 
-/// Immutable per-run context shared by all lanes, flattened so the hot
-/// loop reads program slices and config scalars without chasing
-/// `LoweredNet`/`SimConfig` pointers per event.
+/// Immutable per-run context, flattened so the hot loop reads program
+/// slices and config scalars without chasing `LoweredNet`/`SimConfig`
+/// pointers per event.
 struct Shared<'x> {
     /// The op arena (fire sections + recheck sections).
     ops: &'x [u32],
@@ -184,10 +189,9 @@ impl<'x> Shared<'x> {
     }
 }
 
-/// One lane's state, carved out of the engine's SoA arenas as local
-/// slices: the whole hot loop runs against these (plus the clock, RNG and
-/// zero-time counter held by value) and scalars are written back when the
-/// lane retires.
+/// The run's mutable state as local slices lent by `LoweredEngine`: the
+/// whole hot loop runs against these (plus the clock, RNG and zero-time
+/// counter held by value).
 struct Lane<'x> {
     rng: SimRng,
     now: f64,
@@ -216,7 +220,7 @@ struct Lane<'x> {
 }
 
 impl<'x> Lane<'x> {
-    // ---- debug oracles: the interpreter's rescan cross-checks ----
+    // ---- debug oracles: full-rescan cross-checks ----
 
     #[cfg(debug_assertions)]
     fn oracle_sched(&self, sh: &Shared<'_>, t2: usize) {
@@ -362,7 +366,7 @@ impl<'x> Lane<'x> {
             // test — one plain `<` per slot. Strict `<` keeps the lowest
             // tid on ties, matching the heap's `(time, tid)` order (no
             // reachable schedule time is NaN or -0.0, so `<` agrees with
-            // `total_cmp` here). An all-idle lane surfaces `(inf, 0)`,
+            // `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
             // which the caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
@@ -425,8 +429,8 @@ impl<'x> Lane<'x> {
     /// when the profiler is armed. The disarmed path is a single
     /// well-predicted branch in front of [`Lane::exec_fire_inner`]; the
     /// armed path reads the monotonic clock twice and folds the delta
-    /// into the lane's per-transition nanosecond stripe (flushed to
-    /// [`super::profile`] when the lane retires).
+    /// into the run's per-transition nanosecond table (flushed to
+    /// [`super::profile`] when the run finishes).
     #[inline(always)]
     fn exec_fire<const GEN: bool>(
         &mut self,
@@ -550,7 +554,7 @@ impl<'x> Lane<'x> {
 
     /// The generic colored firing path (withdraw per input arc, evaluate
     /// color expressions, deposit per output arc) — byte-for-byte the
-    /// interpreter's, including error precedence.
+    /// reference engine's, including error precedence.
     fn fire_generic(&mut self, sh: &Shared<'_>, ti: usize) -> Result<(), SimError> {
         let t = &sh.net.transitions()[ti];
         self.consumed.clear();
@@ -736,7 +740,7 @@ impl<'x> Lane<'x> {
     // ---- rewards / livelock ----
 
     /// Integrate time-based rewards over `[now, until)`, clipped to the
-    /// warm-up boundary (the interpreter's `integrate_rewards`).
+    /// warm-up boundary (the reference engine's `integrate_rewards`).
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
         if sh.integ.is_empty() {
@@ -808,7 +812,7 @@ impl<'x> Lane<'x> {
     // ---- immediate cascade ----
 
     /// Fire enabled immediates until none remain (highest priority first,
-    /// weighted conflicts, definition order on ties — the interpreter's
+    /// weighted conflicts, definition order on ties — the reference engine's
     /// `fire_immediates`, with fire → recheck → zero-bump order).
     #[inline(always)]
     fn immediates<const SCAN: bool, const GEN: bool>(
@@ -854,9 +858,9 @@ impl<'x> Lane<'x> {
         }
     }
 
-    // ---- lane lifecycle ----
+    // ---- run lifecycle ----
 
-    /// The interpreter's pre-loop work: run the startup recheck program
+    /// The reference engine's pre-loop work: run the startup recheck program
     /// (initial scheduling pass), then the time-zero immediate cascade.
     fn start<const SCAN: bool, const GEN: bool>(
         &mut self,
@@ -866,7 +870,7 @@ impl<'x> Lane<'x> {
         self.immediates::<SCAN, GEN>(sh)
     }
 
-    /// Drive this lane from post-`start` state to its horizon: the whole
+    /// Drive the run from post-`start` state to its horizon: the whole
     /// main loop, fused, one instantiation per (scan, colored) pair.
     fn run<const SCAN: bool, const GEN: bool>(
         &mut self,
@@ -876,7 +880,7 @@ impl<'x> Lane<'x> {
         loop {
             let next = self.next_event::<SCAN>();
             match next {
-                // `time < end` (not `>=`) mirrors the interpreter's
+                // `time < end` (not `>=`) mirrors the reference engine's
                 // `e.time < cfg.end_time` guard, including a NaN horizon.
                 Some((time, tid)) if time < end => {
                     let ti = tid as usize;
@@ -889,7 +893,7 @@ impl<'x> Lane<'x> {
                         self.zero = 0;
                     }
                     self.now = time;
-                    // Consume the schedule entry, then the interpreter's
+                    // Consume the schedule entry, then the reference engine's
                     // fire → zero-bump → recheck → immediates order.
                     self.fire_at[ti] = f64::INFINITY;
                     self.sched_state[ti] &= !ST_SCHEDULED;
@@ -924,7 +928,7 @@ fn is_enabled_slow(marking: &Marking, t: &crate::transition::Transition) -> bool
         && t.guard.as_ref().is_none_or(|g| g.eval_bool(marking))
 }
 
-/// Erlang-k delay: sum of k exponential draws (the interpreter's order).
+/// Erlang-k delay: sum of k exponential draws (the reference engine's order).
 #[inline(always)]
 fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
     let mut total = 0.0;
@@ -935,29 +939,21 @@ fn erlang(rng: &mut SimRng, rate: f64, k: u32) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// The batched lowered engine
+// One run of the lowered engine
 // ---------------------------------------------------------------------------
 
-/// All per-batch state for the lowered engine. Stride-`nt` arenas are
-/// indexed `l * nt + ti`, stride-`nc` arenas `l * nc + ci`; each lane's
-/// stripes are sliced into a [`Lane`] while it runs.
-pub(super) struct LoweredEngine<'e> {
+/// All mutable state of one lowered run, owned as plain `Vec`s and lent
+/// to a [`Lane`] as slices while the main loop runs.
+struct LoweredEngine<'e> {
     lw: &'e LoweredNet,
     cs: &'e CompiledSim,
     net: &'e Net,
     cfg: &'e SimConfig,
     pred_progs: &'e [Option<CompiledExpr>],
-    max_tokens: usize,
-    lanes: usize,
-    nt: usize,
-    nc: usize,
-    ni: usize,
-    end_time: Vec<f64>,
-    rng: Vec<SimRng>,
-    now: Vec<f64>,
-    zero: Vec<u64>,
-    markings: Vec<Marking>,
-    heaps: Vec<Vec<HeapEntry>>,
+    rng: SimRng,
+    imm_len: u32,
+    marking: Marking,
+    heap: Vec<HeapEntry>,
     fire_at: Vec<f64>,
     gen: Vec<u64>,
     remaining: Vec<f64>,
@@ -965,13 +961,12 @@ pub(super) struct LoweredEngine<'e> {
     cond_true: Vec<bool>,
     unsat: Vec<u32>,
     enabled_imm: Vec<u32>,
-    imm_len: Vec<u32>,
     imm_pos: Vec<u32>,
     firing_counts: Vec<u64>,
     acc_f: Vec<f64>,
     acc_c: Vec<u64>,
     profile_ns: Vec<u64>,
-    traces: Vec<TraceBuffer>,
+    trace: TraceBuffer,
     guard_scratch: Vec<i64>,
     consumed: Vec<Color>,
     consumed_offsets: Vec<usize>,
@@ -980,15 +975,11 @@ pub(super) struct LoweredEngine<'e> {
 }
 
 impl<'e> LoweredEngine<'e> {
-    pub(super) fn new(sim: &'e Simulator<'_>, seeds: &[u64], end_times: &[f64]) -> Self {
-        assert_eq!(seeds.len(), end_times.len(), "one horizon per seed");
+    fn new(sim: &'e Simulator<'_>, seed: u64) -> Self {
         let net = sim.net;
         let cs = &sim.compiled;
         let lw = sim.lowered_net();
-        let lanes = seeds.len();
         let nt = net.num_transitions();
-        let nc = lw.conds.len();
-        let ni = cs.immediates.len();
         let pred_stack = sim
             .pred_progs
             .iter()
@@ -996,118 +987,85 @@ impl<'e> LoweredEngine<'e> {
             .map(|p| p.stack_needed())
             .max()
             .unwrap_or(0);
-        let mut st_template = vec![0u8; nt];
-        for (ti, h) in cs.hot.iter().enumerate() {
-            if h.kind != TimingKind::Immediate && h.memory == MemoryPolicy::Resample {
-                st_template[ti] = ST_RESAMPLE;
-            }
-        }
+        let sched_state = cs
+            .hot
+            .iter()
+            .map(|h| {
+                if h.kind != TimingKind::Immediate && h.memory == MemoryPolicy::Resample {
+                    ST_RESAMPLE
+                } else {
+                    0
+                }
+            })
+            .collect();
         let mut eng = LoweredEngine {
             lw,
             cs,
             net,
             cfg: &sim.cfg,
             pred_progs: &sim.pred_progs,
-            max_tokens: effective_token_limit(&sim.cfg),
-            lanes,
-            nt,
-            nc,
-            ni,
-            end_time: end_times.to_vec(),
-            rng: seeds.iter().map(|&s| SimRng::seed_from_u64(s)).collect(),
-            now: vec![0.0; lanes],
-            zero: vec![0; lanes],
-            markings: (0..lanes).map(|_| lw.initial_marking(net)).collect(),
-            heaps: (0..lanes)
-                .map(|_| Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }))
-                .collect(),
-            fire_at: vec![f64::INFINITY; lanes * nt],
-            gen: vec![0; lanes * nt],
-            remaining: vec![f64::NAN; lanes * nt],
-            sched_state: st_template.repeat(lanes),
-            cond_true: vec![false; lanes * nc],
-            unsat: vec![0; lanes * nt],
-            enabled_imm: vec![0; lanes * ni],
-            imm_len: vec![0; lanes],
-            imm_pos: vec![NOT_QUEUED; lanes * nt],
-            firing_counts: vec![0; lanes * nt],
-            acc_f: vec![0.0; lanes * lw.n_integ],
-            acc_c: vec![0; lanes * lw.n_count],
-            profile_ns: vec![0; lanes * nt],
-            traces: (0..lanes)
-                .map(|_| TraceBuffer::new(sim.cfg.trace_capacity))
-                .collect(),
+            rng: SimRng::seed_from_u64(seed),
+            imm_len: 0,
+            marking: lw.initial_marking(net),
+            heap: Vec::with_capacity(if lw.scan { 0 } else { nt * 2 }),
+            fire_at: vec![f64::INFINITY; nt],
+            gen: vec![0; nt],
+            remaining: vec![f64::NAN; nt],
+            sched_state,
+            cond_true: vec![false; lw.conds.len()],
+            unsat: cs.base_unsat.clone(),
+            enabled_imm: vec![0; cs.immediates.len()],
+            imm_pos: vec![NOT_QUEUED; nt],
+            firing_counts: vec![0; nt],
+            acc_f: vec![0.0; lw.n_integ],
+            acc_c: vec![0; lw.n_count],
+            profile_ns: vec![0; nt],
+            trace: TraceBuffer::new(sim.cfg.trace_capacity),
             guard_scratch: Vec::with_capacity(cs.guard_stack.max(pred_stack)),
             consumed: Vec::with_capacity(8),
             consumed_offsets: Vec::with_capacity(8),
             candidates: Vec::with_capacity(4),
             weights: Vec::with_capacity(4),
         };
-        for l in 0..lanes {
-            eng.init_conditions(l);
-        }
+        eng.init_conditions();
         eng
     }
 
     /// Evaluate every lowered condition from scratch and build the
     /// enabled sets (start of run only; the same enabled sets as the
-    /// interpreter's).
-    fn init_conditions(&mut self, l: usize) {
+    /// reference engine's).
+    fn init_conditions(&mut self) {
         let cs = self.cs;
-        let tb = l * self.nt;
-        let cb = l * self.nc;
-        let ib = l * self.ni;
-        self.unsat[tb..tb + self.nt].copy_from_slice(&cs.base_unsat);
         for (li, &(tid, init)) in self.lw.conds.iter().enumerate() {
-            let m = &self.markings[l];
+            let m = &self.marking;
             let t = match init {
                 CondInit::Count { index, lt, need } => (m.count_raw(index) >= need) != lt,
                 CondInit::Compiled(ci) => {
                     cs.eval_cond(m, &mut self.guard_scratch, &cs.conds[ci as usize])
                 }
             };
-            self.cond_true[cb + li] = t;
+            self.cond_true[li] = t;
             if !t {
-                self.unsat[tb + tid as usize] += 1;
+                self.unsat[tid as usize] += 1;
             }
         }
-        for ti in 0..self.nt {
-            if self.unsat[tb + ti] == 0 {
-                self.sched_state[tb + ti] |= ST_ENABLED;
+        for (st, &unsat) in self.sched_state.iter_mut().zip(&self.unsat) {
+            if unsat == 0 {
+                *st |= ST_ENABLED;
             }
         }
         for &tid in &cs.immediates {
-            if self.unsat[tb + tid.index()] == 0 {
-                let len = self.imm_len[l];
-                self.imm_pos[tb + tid.index()] = len;
-                self.enabled_imm[ib + len as usize] = tid.0;
-                self.imm_len[l] = len + 1;
+            if self.unsat[tid.index()] == 0 {
+                self.imm_pos[tid.index()] = self.imm_len;
+                self.enabled_imm[self.imm_len as usize] = tid.0;
+                self.imm_len += 1;
             }
         }
     }
 
-    /// Run every lane to completion on the variant selected by the
-    /// program's feature flags, and collect per-lane results.
-    pub(super) fn run_all(mut self) -> Vec<Result<SimOutput, SimError>> {
-        let mut out: Vec<Option<Result<SimOutput, SimError>>> =
-            (0..self.lanes).map(|_| None).collect();
-        match (self.lw.scan, self.lw.colored) {
-            (true, false) => self.drive::<true, false>(&mut out),
-            (true, true) => self.drive::<true, true>(&mut out),
-            (false, false) => self.drive::<false, false>(&mut out),
-            (false, true) => self.drive::<false, true>(&mut out),
-        }
-        out.into_iter()
-            .map(|o| o.expect("every lane terminates"))
-            .collect()
-    }
-
-    fn drive<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        out: &mut [Option<Result<SimOutput, SimError>>],
-    ) {
-        // Copy the shared references out of `self` so the context does not
-        // conflict with the per-lane `&mut self` below.
+    /// Drive the run to its horizon on the `(SCAN, GEN)` variant the
+    /// program's feature flags select, and build its output.
+    fn run<const SCAN: bool, const GEN: bool>(mut self) -> Result<SimOutput, SimError> {
         let sh = Shared {
             ops: &self.lw.ops,
             sec: &self.lw.sec,
@@ -1123,89 +1081,52 @@ impl<'e> LoweredEngine<'e> {
             net: self.net,
             cfg: self.cfg,
             pred_progs: self.pred_progs,
-            max_tokens: self.max_tokens,
+            max_tokens: effective_token_limit(self.cfg),
             warmup: self.cfg.warmup,
             max_zero: self.cfg.max_zero_time_firings,
             trace_on: self.cfg.trace_capacity > 0,
             profile_on: super::profile::armed(),
         };
-        // `run_lane` borrows all of `self` mutably, so iterating `out`
-        // with `iter_mut` can't work here.
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..self.lanes {
-            let res = self.run_lane::<SCAN, GEN>(&sh, l);
-            out[l] = Some(match res {
-                Ok(()) => Ok(self.finalize(l)),
-                Err(e) => Err(e),
-            });
-        }
-    }
-
-    /// Slice lane `l`'s stripes out of the arenas and drive it to
-    /// completion (start + main loop), writing the scalars back.
-    fn run_lane<const SCAN: bool, const GEN: bool>(
-        &mut self,
-        sh: &Shared<'_>,
-        l: usize,
-    ) -> Result<(), SimError> {
-        let (nt, nc, ni) = (self.nt, self.nc, self.ni);
-        let (tb, cb, ib) = (l * nt, l * nc, l * ni);
-        let (nf, nk) = (self.lw.n_integ, self.lw.n_count);
-        let end = self.end_time[l];
         let mut lane = Lane {
-            rng: self.rng[l].clone(),
-            now: self.now[l],
-            zero: self.zero[l],
-            imm_len: self.imm_len[l],
-            marking: &mut self.markings[l],
-            heap: &mut self.heaps[l],
-            fire_at: &mut self.fire_at[tb..tb + nt],
-            gen: &mut self.gen[tb..tb + nt],
-            remaining: &mut self.remaining[tb..tb + nt],
-            sched_state: &mut self.sched_state[tb..tb + nt],
-            cond_true: &mut self.cond_true[cb..cb + nc],
-            unsat: &mut self.unsat[tb..tb + nt],
-            enabled_imm: &mut self.enabled_imm[ib..ib + ni],
-            imm_pos: &mut self.imm_pos[tb..tb + nt],
-            firing_counts: &mut self.firing_counts[tb..tb + nt],
-            acc_f: &mut self.acc_f[l * nf..(l + 1) * nf],
-            acc_c: &mut self.acc_c[l * nk..(l + 1) * nk],
-            profile_ns: &mut self.profile_ns[tb..tb + nt],
-            trace: &mut self.traces[l],
+            rng: self.rng.clone(),
+            now: 0.0,
+            zero: 0,
+            imm_len: self.imm_len,
+            marking: &mut self.marking,
+            heap: &mut self.heap,
+            fire_at: &mut self.fire_at,
+            gen: &mut self.gen,
+            remaining: &mut self.remaining,
+            sched_state: &mut self.sched_state,
+            cond_true: &mut self.cond_true,
+            unsat: &mut self.unsat,
+            enabled_imm: &mut self.enabled_imm,
+            imm_pos: &mut self.imm_pos,
+            firing_counts: &mut self.firing_counts,
+            acc_f: &mut self.acc_f,
+            acc_c: &mut self.acc_c,
+            profile_ns: &mut self.profile_ns,
+            trace: &mut self.trace,
             guard_scratch: &mut self.guard_scratch,
             consumed: &mut self.consumed,
             consumed_offsets: &mut self.consumed_offsets,
             candidates: &mut self.candidates,
             weights: &mut self.weights,
         };
-        let res = match lane.start::<SCAN, GEN>(sh) {
-            Ok(()) => lane.run::<SCAN, GEN>(sh, end),
-            Err(e) => Err(e),
-        };
-        self.rng[l] = lane.rng;
-        self.now[l] = lane.now;
-        self.zero[l] = lane.zero;
-        self.imm_len[l] = lane.imm_len;
-        res
+        lane.start::<SCAN, GEN>(&sh)?;
+        lane.run::<SCAN, GEN>(&sh, self.cfg.end_time)?;
+        Ok(self.finalize())
     }
 
-    fn finalize(&mut self, l: usize) -> SimOutput {
-        let tb = l * self.nt;
+    fn finalize(self) -> SimOutput {
         if super::profile::armed() {
-            // Flush this lane's profile stripe into the process-global
-            // table before the counts are moved into the output.
+            // Flush the profile into the process-global table.
             for (ti, t) in self.net.transitions().iter().enumerate() {
-                super::profile::record(
-                    &t.name,
-                    self.firing_counts[tb + ti],
-                    self.profile_ns[tb + ti],
-                );
+                super::profile::record(&t.name, self.firing_counts[ti], self.profile_ns[ti]);
             }
         }
-        let end = self.end_time[l];
+        let end = self.cfg.end_time;
         let observed = (end - self.cfg.warmup).max(0.0);
-        let fb = l * self.lw.n_integ;
-        let kb = l * self.lw.n_count;
         let rewards = self
             .lw
             .reward_map
@@ -1213,32 +1134,31 @@ impl<'e> LoweredEngine<'e> {
             .map(|rm| match *rm {
                 LoweredReward::Integral(i) => {
                     if observed > 0.0 {
-                        self.acc_f[fb + i as usize] / observed
+                        self.acc_f[i as usize] / observed
                     } else {
                         0.0
                     }
                 }
                 LoweredReward::Rate(i) => {
                     if observed > 0.0 {
-                        self.acc_c[kb + i as usize] as f64 / observed
+                        self.acc_c[i as usize] as f64 / observed
                     } else {
                         0.0
                     }
                 }
-                LoweredReward::Count(i) => self.acc_c[kb + i as usize] as f64,
+                LoweredReward::Count(i) => self.acc_c[i as usize] as f64,
             })
             .collect();
-        let trace = std::mem::take(&mut self.traces[l]);
-        let mut final_marking = self.markings[l].clone();
+        let mut final_marking = self.marking;
         final_marking.strip_hidden();
         SimOutput {
             end_time: end,
             observed_time: observed,
             rewards,
-            firing_counts: self.firing_counts[tb..tb + self.nt].to_vec(),
+            firing_counts: self.firing_counts,
             final_marking,
-            trace_dropped: trace.dropped,
-            trace: trace.into_events(),
+            trace_dropped: self.trace.dropped,
+            trace: self.trace.into_events(),
         }
     }
 }
@@ -1263,13 +1183,13 @@ mod tests {
     }
 
     #[test]
-    fn lowered_matches_interpreter_on_mm1() {
+    fn lowered_matches_reference_on_mm1() {
         let net = mm1(0.8);
         let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(16));
         sim.reward_place(crate::ids::PlaceId::from_index(0));
         for seed in 0..20u64 {
-            let a = sim.run_lowered(seed).unwrap();
-            let b = sim.run_interp(seed).unwrap();
+            let a = sim.run(seed).unwrap();
+            let b = sim.run_reference(seed).unwrap();
             assert_eq!(a.rewards, b.rewards);
             assert_eq!(a.firing_counts, b.firing_counts);
             assert_eq!(a.final_marking, b.final_marking);
@@ -1278,24 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_batch_matches_lowered_scalar() {
-        let net = mm1(0.9);
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(150.0));
-        sim.reward_place(crate::ids::PlaceId::from_index(0));
-        let seeds: Vec<u64> = (0..9).collect();
-        let ends = vec![sim.config().end_time; seeds.len()];
-        let batched = LoweredEngine::new(&sim, &seeds, &ends).run_all();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let scalar = sim.run_lowered(seed).unwrap();
-            let b = batched[i].as_ref().unwrap();
-            assert_eq!(b.rewards, scalar.rewards);
-            assert_eq!(b.firing_counts, scalar.firing_counts);
-            assert_eq!(b.final_marking, scalar.final_marking);
-        }
-    }
-
-    #[test]
-    fn lowered_errors_match_the_interpreter() {
+    fn lowered_errors_match_the_reference() {
         // An open generator against a tiny token bound: both engines must
         // report the same overflow at the same time.
         let net = mm1(5.0);
@@ -1303,7 +1206,7 @@ mod tests {
         cfg.max_tokens_per_place = 40;
         let sim = Simulator::new(&net, cfg);
         for seed in 0..10u64 {
-            match (sim.run_lowered(seed), sim.run_interp(seed)) {
+            match (sim.run(seed), sim.run_reference(seed)) {
                 (Err(a), Err(b)) => assert_eq!(a, b),
                 (a, b) => panic!("expected overflow from both engines: {a:?} vs {b:?}"),
             }

@@ -2,7 +2,9 @@
 //!
 //! The public entry point is [`Simulator`]: configure it once (net, horizon,
 //! rewards), then call [`Simulator::run`] with as many seeds as you need —
-//! each run is an independent, reproducible trajectory. `Simulator` is
+//! each run is an independent, reproducible trajectory on the lowered
+//! engine. [`Simulator::run_reference`] replays the same trajectory on the
+//! reference engine, the oracle the lowered engine is tested against. `Simulator` is
 //! `Sync`, so [`crate::replicate`] fans runs out across threads.
 //!
 //! # Semantics
@@ -21,7 +23,6 @@
 //! * Rewards are integrated exactly between events (token counts and
 //!   predicates are piecewise-constant in time).
 
-mod batch;
 mod engine;
 mod lower;
 mod lowered;
@@ -30,7 +31,6 @@ mod reference;
 mod rewards;
 mod trace;
 
-pub use batch::BatchSimulator;
-pub use engine::{EngineKind, SimConfig, SimOutput, Simulator};
+pub use engine::{SimConfig, SimOutput, Simulator};
 pub use rewards::{RewardId, RewardSpec, RewardSpecError};
 pub use trace::TraceEvent;

@@ -1,83 +1,37 @@
-//! Differential tests for the lowered micro-op engine: the default
-//! executor behind `Simulator::run` and `BatchSimulator::run` must
-//! reproduce the interpreter (`run_interp`) and the reference engine
-//! (`run_reference`) **bit for bit** — identical firing counts, reward
-//! values, final markings, traces, and errors — for every seed, at every
-//! batch width, across every feature the compiler lowers: uncolored and
-//! colored nets, reducible and program-fallback guards, inhibitors,
-//! immediate priorities and weights, all three memory policies, the
-//! >32-transition heap-scheduler fallback, traces, and warm-up windows.
+//! Differential tests: the lowered engine behind `Simulator::run` must
+//! reproduce the reference engine (`Simulator::run_reference`) **bit for
+//! bit** — identical firing counts, reward values, final markings, traces,
+//! and errors — for every seed, across every feature the lowering pass
+//! handles: uncolored and colored nets, reducible and program-fallback
+//! guards, inhibitors, immediate priorities and weights, all three memory
+//! policies, the >32-transition heap-scheduler fallback, split colored
+//! places, traces, and warm-up windows.
 //!
-//! All engines share one RNG and are written to consume draws in the same
+//! Both engines share one RNG and are written to consume draws in the same
 //! order, so any divergence is a real bug in the lowering pass or the
-//! direct-threaded executor, not floating-point noise — hence `assert_eq`
-//! on `f64` values, not tolerances.
+//! direct-threaded executor, not floating-point noise — hence whole-output
+//! `assert_eq!` on `f64` values, not tolerances.
 
 use petri_core::arc::ColorExpr;
 use petri_core::prelude::*;
 use petri_core::sim::RewardSpec;
 use proptest::prelude::*;
 
-/// Batch widths every net is checked at (1 = degenerate batch, 2/8 split
-/// the seed set unevenly, 33 runs everything in one ragged chunk).
-const WIDTHS: [usize; 4] = [1, 2, 8, 33];
 const SEEDS: std::ops::Range<u64> = 0..25;
 
-fn assert_same_output(a: &SimOutput, b: &SimOutput, ctx: &str) {
-    assert_eq!(
-        a.firing_counts, b.firing_counts,
-        "{ctx}: firing counts diverged"
-    );
-    assert_eq!(a.rewards, b.rewards, "{ctx}: rewards diverged");
-    assert_eq!(
-        a.final_marking, b.final_marking,
-        "{ctx}: final markings diverged"
-    );
-    assert_eq!(a.trace, b.trace, "{ctx}: traces diverged");
-    assert_eq!(a.trace_dropped, b.trace_dropped, "{ctx}: trace_dropped");
-    assert_eq!(a.observed_time, b.observed_time, "{ctx}: observed_time");
-}
-
-fn assert_same_result(a: &Result<SimOutput, SimError>, b: &Result<SimOutput, SimError>, ctx: &str) {
-    match (a, b) {
-        (Ok(a), Ok(b)) => assert_same_output(a, b, ctx),
-        (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: errors diverged"),
-        (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
-    }
-}
-
-/// The full cross-engine check: scalar lowered vs scalar interpreter vs
-/// the reference engine on every seed, then both batched engines at every
-/// width against the scalar results.
+/// Run both engines on every seed and require identical results, errors
+/// included.
 fn assert_lowered_identical(sim: &Simulator<'_>, label: &str) {
-    let seeds: Vec<u64> = SEEDS.collect();
-    let interp: Vec<_> = seeds.iter().map(|&s| sim.run_interp(s)).collect();
-    for (&seed, interp) in seeds.iter().zip(&interp) {
-        let lowered = sim.run_lowered(seed);
-        assert_same_result(&lowered, interp, &format!("{label} seed {seed} scalar"));
-        let reference = sim.run_reference(seed);
-        assert_same_result(
-            &lowered,
-            &reference,
-            &format!("{label} seed {seed} vs reference"),
+    for seed in SEEDS {
+        assert_eq!(
+            sim.run(seed),
+            sim.run_reference(seed),
+            "{label} seed {seed}: lowered vs reference diverged"
         );
     }
-    let batcher = BatchSimulator::new(sim);
-    for &w in &WIDTHS {
-        for (ci, chunk) in seeds.chunks(w).enumerate() {
-            let lowered = batcher.run_lowered(chunk);
-            let interp_batch = batcher.run_interp(chunk);
-            for (j, res) in lowered.iter().enumerate() {
-                let i = ci * w + j;
-                let ctx = format!("{label} seed {} width {w}", seeds[i]);
-                assert_same_result(res, &interp[i], &ctx);
-                assert_same_result(res, &interp_batch[j], &format!("{ctx} (interp batch)"));
-            }
-        }
-    }
 }
 
-// --- net shapes (mirroring tests/differential.rs, plus the heap net) ---
+// --- net shapes ---
 
 #[test]
 fn lowered_differential_mm1_with_traces() {
@@ -277,6 +231,35 @@ fn lowered_differential_immediate_conflicts() {
     assert_lowered_identical(&sim, "immediate-conflicts");
 }
 
+/// Multi-token arcs and multi-place invariant chains (tandem), uncolored.
+#[test]
+fn lowered_differential_tandem() {
+    let mut b = NetBuilder::new("tandem");
+    let p0 = b.place("p0").build();
+    let p1 = b.place("p1").build();
+    let p2 = b.place("p2").build();
+    b.transition("source", Timing::exponential(2.0))
+        .output(p0, 1)
+        .build();
+    // Batch mover: needs 3 tokens, emits 3.
+    b.transition("batch", Timing::deterministic(0.4))
+        .input(p0, 3)
+        .output(p1, 3)
+        .build();
+    b.transition("step", Timing::exponential(3.0))
+        .input(p1, 1)
+        .output(p2, 1)
+        .build();
+    b.transition("sink", Timing::exponential(2.5))
+        .input(p2, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(600.0));
+    sim.reward_place(p0);
+    sim.reward_place(p1);
+    assert_lowered_identical(&sim, "tandem");
+}
+
 /// A 40-stage tandem line: more than 32 transitions, so the lowered
 /// engine falls back from the stripe scan to the lazy-deletion heap —
 /// this keeps the heap instantiation under differential coverage.
@@ -306,8 +289,8 @@ fn lowered_differential_wide_net_heap_scheduler() {
     assert_lowered_identical(&sim, "wide-tandem-heap");
 }
 
-/// Error outcomes must match exactly too: an overflowing lane trips the
-/// same `TokenOverflow` (place, time, limit) on every engine.
+/// Error outcomes must match exactly too: an overflowing run trips the
+/// same `TokenOverflow` (place, time, limit) on both engines.
 #[test]
 fn lowered_differential_token_overflow_errors() {
     let mut b = NetBuilder::new("boom");
@@ -322,18 +305,10 @@ fn lowered_differential_token_overflow_errors() {
     let mut cfg = SimConfig::for_horizon(10_000.0);
     cfg.max_tokens_per_place = 40;
     let sim = Simulator::new(&net, cfg);
-    let mut overflowed = 0;
-    for seed in SEEDS {
-        let lowered = sim.run_lowered(seed);
-        assert_same_result(
-            &lowered,
-            &sim.run_interp(seed),
-            &format!("boom seed {seed}"),
-        );
-        if matches!(lowered, Err(SimError::TokenOverflow { .. })) {
-            overflowed += 1;
-        }
-    }
+    assert_lowered_identical(&sim, "boom");
+    let overflowed = SEEDS
+        .filter(|&seed| matches!(sim.run(seed), Err(SimError::TokenOverflow { .. })))
+        .count();
     assert!(
         overflowed > 0,
         "overflow net never overflowed (vacuous test)"
@@ -345,7 +320,7 @@ fn lowered_differential_token_overflow_errors() {
 /// The paper's node SCPNs (Fig. 12 closed at the fig14 defaults, Fig. 13
 /// open at the fig15 defaults) with their Fig. 14/15 rewards, across the
 /// PDT extremes and the optimum: `Buffer` is split into per-color counts
-/// and the Table XI guard into thresholds, and every engine must still
+/// and the Table XI guard into thresholds, and both engines must still
 /// agree bit for bit, final-marking FIFO order included.
 #[test]
 fn lowered_differential_node_nets() {
@@ -706,8 +681,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random small colored nets: the split analysis, per-color slots,
-    /// order records, guard splitting and sum predicates must leave every
-    /// engine in bit-for-bit agreement, final-marking FIFO order and error
+    /// order records, guard splitting and sum predicates must leave both
+    /// engines in bit-for-bit agreement, final-marking FIFO order and error
     /// outcomes included.
     #[test]
     fn random_colored_nets_agree_across_all_engines(
@@ -735,25 +710,14 @@ proptest! {
         sim.reward_predicate(Expr::count(p0).gt_c(0).or(Expr::count(p1).gt_c(0))).unwrap();
         sim.reward_predicate(Expr::count(p0).add(Expr::count(p1)).ge_c(2)).unwrap();
         sim.reward_predicate(Expr::count_color(p1, Color(1)).gt_c(0)).unwrap();
-        let reference = sim.run_reference(seed);
-        let interp = sim.run_interp(seed);
-        let lowered = sim.run_lowered(seed);
-        assert_same_result(&lowered, &interp, "random colored net scalar");
-        assert_same_result(&lowered, &reference, "random colored net vs reference");
-        let batcher = BatchSimulator::new(&sim);
-        let seeds = [seed, seed + 1, seed + 2];
-        let lowered_batch = batcher.run_lowered(&seeds);
-        let interp_batch = batcher.run_interp(&seeds);
-        for i in 0..seeds.len() {
-            assert_same_result(&lowered_batch[i], &interp_batch[i], "random colored net batched");
+        for s in [seed, seed + 1, seed + 2] {
+            prop_assert_eq!(sim.run(s), sim.run_reference(s));
         }
-        assert_same_result(&lowered_batch[0], &lowered, "random colored net batch lane 0");
     }
 
-    /// Random small nets: every engine — reference, interpreter, lowered,
-    /// and both batched paths — must agree bit-for-bit on the outcome,
-    /// whether that outcome is a clean run, an immediate livelock, or a
-    /// token overflow.
+    /// Random small nets: both engines must agree bit-for-bit on the
+    /// outcome, whether that outcome is a clean run, an immediate livelock,
+    /// or a token overflow.
     #[test]
     fn random_nets_agree_across_all_engines(
         tokens in proptest::collection::vec(0u32..4, 2..5),
@@ -778,18 +742,8 @@ proptest! {
         cfg.max_tokens_per_place = 200;
         let mut sim = Simulator::new(&net, cfg);
         sim.reward_place(net.place_by_name("p0").unwrap());
-        let reference = sim.run_reference(seed);
-        let interp = sim.run_interp(seed);
-        let lowered = sim.run_lowered(seed);
-        assert_same_result(&lowered, &interp, "random net scalar");
-        assert_same_result(&lowered, &reference, "random net vs reference");
-        let batcher = BatchSimulator::new(&sim);
-        let seeds = [seed, seed + 1, seed + 2];
-        let lowered_batch = batcher.run_lowered(&seeds);
-        let interp_batch = batcher.run_interp(&seeds);
-        for i in 0..seeds.len() {
-            assert_same_result(&lowered_batch[i], &interp_batch[i], "random net batched");
+        for s in [seed, seed + 1, seed + 2] {
+            prop_assert_eq!(sim.run(s), sim.run_reference(s));
         }
-        assert_same_result(&lowered_batch[0], &lowered, "random net batch lane 0");
     }
 }

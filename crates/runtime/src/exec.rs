@@ -41,17 +41,18 @@ use std::sync::OnceLock;
 /// Protocol version byte carried by every manifest request frame.
 /// Version 2 introduced tagged requests (manifest vs graceful shutdown)
 /// and multi-manifest serve loops for the remote TCP subsystem; version 3
-/// added the batch-width field, so workers can run contiguous same-point
-/// slots on the batched SoA engine; version 4 upgraded the liveness
-/// heartbeat to a progress frame (`P`: delivered/total slot counts), so
-/// parents can render live per-chunk progress without extra round trips;
+/// added a batch-width field (removed again in version 6); version 4
+/// upgraded the liveness heartbeat to a progress frame (`P`:
+/// delivered/total slot counts), so parents can render live per-chunk
+/// progress without extra round trips;
 /// version 5 added the trace context (`u64` trace ID) to the manifest
 /// request and the advisory span-batch response frame (`T`), so worker
-/// spans fold back into the parent's job trace.
+/// spans fold back into the parent's job trace; version 6 dropped the
+/// batch-width field from the manifest request.
 /// (Bumping the version also rotates the service cache's key space —
 /// cached result bytes are identical across versions, but entries written
 /// by older binaries describe an older protocol.)
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 // --- errors --------------------------------------------------------------
 
@@ -155,30 +156,6 @@ pub trait PortableJob: Sync {
     /// Run one slot, returning the encoded result. `seed` is the slot's
     /// entry from the manifest's seed table.
     fn run_slot(&self, point: usize, replication: u64, seed: u64) -> Result<Vec<u8>, String>;
-
-    /// Run a batch of contiguous same-point slots — replication
-    /// `base_rep + i` with `seeds[i]` — returning one result per slot in
-    /// replication order.
-    ///
-    /// The default loops over [`PortableJob::run_slot`], so every job is
-    /// batchable by construction. Jobs backed by a simulator override this
-    /// to advance all lanes through one compiled model (see
-    /// `petri_core::sim::BatchSimulator`); because each lane consumes its
-    /// own RNG stream exactly as the scalar path would, an override **must
-    /// not change result bytes** — backends rely on that to keep any batch
-    /// width byte-identical to width 1.
-    fn run_batch(
-        &self,
-        point: usize,
-        base_rep: u64,
-        seeds: &[u64],
-    ) -> Vec<Result<Vec<u8>, String>> {
-        seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &seed)| self.run_slot(point, base_rep + i as u64, seed))
-            .collect()
-    }
 }
 
 /// Decoder for one job kind: payload bytes back to a runnable job.
@@ -274,9 +251,20 @@ impl TaskManifest {
         }
     }
 
-    /// Total number of slots across all segments.
+    /// Total number of slots across all segments, saturating at
+    /// `usize::MAX` (a count no seed table can match, so [`validate`]
+    /// rejects it).
+    ///
+    /// [`validate`]: TaskManifest::validate
     pub fn total_slots(&self) -> usize {
-        self.segments.iter().map(|s| s.count).sum()
+        self.checked_total().unwrap_or(usize::MAX)
+    }
+
+    /// Sum of the segment counts, or `None` if it overflows `usize`.
+    fn checked_total(&self) -> Option<usize> {
+        self.segments
+            .iter()
+            .try_fold(0usize, |total, seg| total.checked_add(seg.count))
     }
 
     /// `(point, replication, seed)` of every slot, in flat-index order.
@@ -289,9 +277,20 @@ impl TaskManifest {
             .collect()
     }
 
-    /// Fail unless the seed table covers every slot exactly.
+    /// Fail unless the segment counts sum without overflow, every
+    /// segment's replication indices fit in a `u64`, and the seed table
+    /// covers every slot exactly.
     pub fn validate(&self) -> Result<(), WireError> {
-        let total = self.total_slots();
+        let total = self
+            .checked_total()
+            .ok_or_else(|| WireError::new("manifest segment counts overflow"))?;
+        if self
+            .segments
+            .iter()
+            .any(|seg| seg.base_rep.checked_add(seg.count as u64).is_none())
+        {
+            return Err(WireError::new("manifest replication indices overflow"));
+        }
         if self.seeds.len() != total {
             return Err(WireError::new(format!(
                 "manifest has {total} slot(s) but {} seed(s)",
@@ -371,8 +370,10 @@ impl TaskManifest {
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let kind = r.get_str()?.to_string();
         let payload = r.get_bytes()?.to_vec();
+        // Capacities are bounded by the bytes actually present (24 per
+        // segment, 8 per seed), so an inflated count cannot over-allocate.
         let nsegs = r.get_u32()? as usize;
-        let mut segments = Vec::with_capacity(nsegs.min(1 << 20));
+        let mut segments = Vec::with_capacity(nsegs.min(r.remaining() / 24));
         for _ in 0..nsegs {
             let point = r.get_u64()? as usize;
             let base_rep = r.get_u64()?;
@@ -384,7 +385,7 @@ impl TaskManifest {
             });
         }
         let nseeds = r.get_u32()? as usize;
-        let mut seeds = Vec::with_capacity(nseeds.min(1 << 20));
+        let mut seeds = Vec::with_capacity(nseeds.min(r.remaining() / 8));
         for _ in 0..nseeds {
             seeds.push(r.get_u64()?);
         }
@@ -430,9 +431,6 @@ pub trait ExecBackend {
 pub struct InProcessBackend {
     /// Worker threads to schedule onto.
     pub threads: usize,
-    /// Contiguous same-point slots handed to [`PortableJob::run_batch`]
-    /// per claim; 1 = the classic slot-at-a-time path.
-    pub batch: usize,
 }
 
 impl InProcessBackend {
@@ -440,16 +438,7 @@ impl InProcessBackend {
     pub fn new(threads: usize) -> Self {
         InProcessBackend {
             threads: threads.max(1),
-            batch: 1,
         }
-    }
-
-    /// Set the batch width (clamped to ≥ 1). Result bytes are identical at
-    /// any width; batching only changes how many lanes each claim advances
-    /// together.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 }
 
@@ -461,7 +450,13 @@ impl ExecBackend for InProcessBackend {
         progress: Option<&ProgressFn>,
     ) -> Result<Vec<Vec<u8>>, ExecError> {
         manifest.validate()?;
-        let task_err = |flat: usize, message: String| {
+        let per_segment = run_segments_core(
+            self.threads,
+            progress,
+            &manifest.segments,
+            &|flat, point, rep| job.run_slot(point, rep, manifest.seeds[flat]),
+        )
+        .map_err(|(flat, message)| {
             let plan = GridPlan::new(&manifest.segments);
             let (seg_idx, offset) = plan.locate(flat);
             let seg = manifest.segments[seg_idx];
@@ -471,31 +466,7 @@ impl ExecBackend for InProcessBackend {
                 replication: seg.base_rep + offset as u64,
                 message,
             }
-        };
-        let per_segment = if self.batch > 1 {
-            crate::grid::run_segments_core_batched(
-                self.threads,
-                self.batch,
-                progress,
-                &manifest.segments,
-                &|flat_base, point, base_rep, count| {
-                    job.run_batch(
-                        point,
-                        base_rep,
-                        &manifest.seeds[flat_base..flat_base + count],
-                    )
-                },
-            )
-            .map_err(|(flat, message)| task_err(flat, message))?
-        } else {
-            run_segments_core(
-                self.threads,
-                progress,
-                &manifest.segments,
-                &|flat, point, rep| job.run_slot(point, rep, manifest.seeds[flat]),
-            )
-            .map_err(|(flat, message)| task_err(flat, message))?
-        };
+        })?;
         // Concatenating per-segment results in segment order IS flat order.
         Ok(per_segment
             .into_iter()
@@ -504,11 +475,7 @@ impl ExecBackend for InProcessBackend {
     }
 
     fn label(&self) -> String {
-        if self.batch > 1 {
-            format!("in-process(threads={}, batch={})", self.threads, self.batch)
-        } else {
-            format!("in-process(threads={})", self.threads)
-        }
+        format!("in-process(threads={})", self.threads)
     }
 }
 
@@ -570,10 +537,6 @@ pub struct ShardedBackend {
     /// Worker threads *per subprocess* (total parallelism is
     /// `shards × worker_threads`).
     pub worker_threads: usize,
-    /// Batch width shipped in each manifest request: workers hand
-    /// contiguous same-point slot runs of this size to
-    /// [`PortableJob::run_batch`]. 1 = slot-at-a-time.
-    pub batch: usize,
     /// Override of the worker command line; `None` spawns
     /// `current_exe --worker`.
     pub worker_cmd: Option<Vec<String>>,
@@ -597,19 +560,11 @@ impl ShardedBackend {
         ShardedBackend {
             shards: shards.max(1),
             worker_threads: worker_threads.max(1),
-            batch: 1,
             worker_cmd: None,
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
         }
-    }
-
-    /// Set the batch width workers run contiguous same-point slots at
-    /// (clamped to ≥ 1); result bytes are identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// Use an explicit worker command line (argv; must speak the worker
@@ -696,12 +651,7 @@ impl ShardedBackend {
             child.stdin.take().expect("stdin piped"),
             child.stdout.take().expect("stdout piped"),
         );
-        let request = encode_manifest_request(
-            self.worker_threads,
-            self.batch,
-            chunk,
-            crate::trace::current(),
-        );
+        let request = encode_manifest_request(self.worker_threads, chunk, crate::trace::current());
         let shipped = transport
             .send(&request)
             .and_then(|_| transport.send(&encode_shutdown_request()))
@@ -809,7 +759,6 @@ impl ShardedBackend {
                 let mut transport = FaultInjector::new(worker.transport(), self.chaos);
                 let request = encode_manifest_request(
                     self.worker_threads,
-                    self.batch,
                     &pending_manifest,
                     crate::trace::current(),
                 );
@@ -1006,17 +955,10 @@ impl ExecBackend for ShardedBackend {
     }
 
     fn label(&self) -> String {
-        if self.batch > 1 {
-            format!(
-                "sharded(shards={}, threads/worker={}, batch={})",
-                self.shards, self.worker_threads, self.batch
-            )
-        } else {
-            format!(
-                "sharded(shards={}, threads/worker={})",
-                self.shards, self.worker_threads
-            )
-        }
+        format!(
+            "sharded(shards={}, threads/worker={})",
+            self.shards, self.worker_threads
+        )
     }
 }
 
@@ -1087,11 +1029,6 @@ pub struct Exec {
     pub pool: bool,
     /// Deterministic chaos injection on worker links (testing only).
     pub chaos: Option<ChaosConfig>,
-    /// Batch width: contiguous same-point slots each claim advances
-    /// together on the batched SoA engine (`PortableJob::run_batch`).
-    /// 1 = the classic slot-at-a-time path; result bytes are identical
-    /// at any width, so this is purely a throughput knob.
-    pub batch: usize,
 }
 
 impl Default for Exec {
@@ -1112,7 +1049,6 @@ impl Exec {
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
-            batch: 1,
         }
     }
 
@@ -1128,7 +1064,6 @@ impl Exec {
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
-            batch: 1,
         }
     }
 
@@ -1149,7 +1084,6 @@ impl Exec {
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
-            batch: 1,
         }
     }
 
@@ -1169,7 +1103,6 @@ impl Exec {
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
-            batch: 1,
         }
     }
 
@@ -1199,14 +1132,6 @@ impl Exec {
         self
     }
 
-    /// Set the batch width (clamped to ≥ 1): how many contiguous
-    /// same-point replications each claim advances together on the batched
-    /// SoA engine. Results are byte-identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
     /// Whether portable jobs run in worker subprocesses.
     pub fn is_sharded(&self) -> bool {
         self.shards >= 1
@@ -1225,7 +1150,6 @@ impl Exec {
     /// A [`Runner`](crate::Runner) on this configuration.
     pub fn runner(&self) -> crate::Runner {
         let mut r = crate::Runner::new(self.threads);
-        r.batch = self.batch.max(1);
         if let Some(addr) = &self.service {
             r.backend = BackendSel::Service { addr: addr.clone() };
         } else if !self.hosts.is_empty() {
@@ -1249,26 +1173,18 @@ impl Exec {
 
     /// Short description for logs.
     pub fn label(&self) -> String {
-        let batch = if self.batch > 1 {
-            format!(", batch={}", self.batch)
-        } else {
-            String::new()
-        };
         if let Some(addr) = &self.service {
-            format!("service(addr={addr}, threads={}{batch})", self.threads)
+            format!("service(addr={addr}, threads={})", self.threads)
         } else if !self.hosts.is_empty() {
             format!(
-                "remote(hosts={}, threads={}{batch})",
+                "remote(hosts={}, threads={})",
                 self.hosts.len(),
                 self.threads
             )
         } else if self.shards >= 1 {
-            format!(
-                "sharded(shards={}, threads={}{batch})",
-                self.shards, self.threads
-            )
+            format!("sharded(shards={}, threads={})", self.shards, self.threads)
         } else {
-            format!("in-process(threads={}{batch})", self.threads)
+            format!("in-process(threads={})", self.threads)
         }
     }
 }
@@ -1277,9 +1193,7 @@ impl crate::Runner {
     /// The backend this runner dispatches portable jobs to.
     pub(crate) fn backend_impl(&self) -> Box<dyn ExecBackend> {
         match &self.backend {
-            BackendSel::InProcess => {
-                Box::new(InProcessBackend::new(self.threads).with_batch(self.batch))
-            }
+            BackendSel::InProcess => Box::new(InProcessBackend::new(self.threads)),
             BackendSel::Sharded {
                 shards,
                 worker_cmd,
@@ -1288,7 +1202,6 @@ impl crate::Runner {
                 chaos,
             } => {
                 let mut b = ShardedBackend::new(*shards, self.threads)
-                    .with_batch(self.batch)
                     .with_fault(*fault)
                     .with_pool(*pool)
                     .with_chaos(*chaos);
@@ -1304,7 +1217,6 @@ impl crate::Runner {
                 chaos,
             } => Box::new(
                 crate::remote::RemoteBackend::new(hosts.clone(), self.threads)
-                    .with_batch(self.batch)
                     .with_fault(*fault)
                     .with_pool(*pool)
                     .with_chaos(*chaos),
@@ -1403,10 +1315,12 @@ pub(crate) mod tests {
         }
         fn run_slot(&self, point: usize, rep: u64, seed: u64) -> Result<Vec<u8>, String> {
             let mut out = Vec::new();
-            wire::put_u64(
-                &mut out,
-                self.factor * (point as u64 + 1) * 1000 + rep + seed,
-            );
+            // Wrapping: fuzzed manifests may carry any point or seed.
+            let scaled = self
+                .factor
+                .wrapping_mul(point as u64 + 1)
+                .wrapping_mul(1000);
+            wire::put_u64(&mut out, scaled.wrapping_add(rep).wrapping_add(seed));
             Ok(out)
         }
     }
@@ -1483,6 +1397,33 @@ pub(crate) mod tests {
         let mut bad = m.clone();
         bad.seeds.pop();
         assert!(bad.validate().is_err());
+    }
+
+    /// Two segments of 2^63 and 2^63 + 1 slots plus one seed: the counts
+    /// wrap to 1 in a plain `usize` sum, so the manifest must be rejected
+    /// on the overflow, not accepted as a one-slot grid.
+    pub(crate) fn wrapping_manifest_bytes() -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut payload = Vec::new();
+        wire::put_u64(&mut payload, 3);
+        wire::put_str(&mut buf, "test-mul");
+        wire::put_bytes(&mut buf, &payload);
+        wire::put_u32(&mut buf, 2);
+        for count in [1u64 << 63, (1u64 << 63) + 1] {
+            wire::put_u64(&mut buf, 0);
+            wire::put_u64(&mut buf, 0);
+            wire::put_u64(&mut buf, count);
+        }
+        wire::put_u32(&mut buf, 1);
+        wire::put_u64(&mut buf, 7);
+        buf
+    }
+
+    #[test]
+    fn manifest_with_wrapping_segment_counts_is_rejected() {
+        let buf = wrapping_manifest_bytes();
+        let err = TaskManifest::decode(&mut Reader::new(&buf)).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

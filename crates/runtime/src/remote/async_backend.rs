@@ -105,11 +105,7 @@ impl ExecBackend for AsyncBackend {
     ) -> Result<Vec<Vec<u8>>, ExecError> {
         // Same claim order and fold as the in-process pool — only the
         // thread budget differs (I/O in flight, not cores).
-        InProcessBackend {
-            threads: self.concurrency,
-            batch: 1,
-        }
-        .run_segments(job, manifest, progress)
+        InProcessBackend::new(self.concurrency).run_segments(job, manifest, progress)
     }
 
     fn label(&self) -> String {

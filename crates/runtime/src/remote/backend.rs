@@ -53,9 +53,6 @@ pub struct RemoteBackend {
     pub hosts: Vec<String>,
     /// Worker threads *per peer*, carried in every request frame.
     pub worker_threads: usize,
-    /// Batch width carried in every request frame: peers hand contiguous
-    /// same-point slot runs of this size to `PortableJob::run_batch`.
-    pub batch: usize,
     /// Per-peer connection timeout.
     pub connect_timeout: Duration,
     /// Unified fault policy: chunk retry budget, the silent-peer IO
@@ -88,19 +85,11 @@ impl RemoteBackend {
         RemoteBackend {
             hosts,
             worker_threads: worker_threads.max(1),
-            batch: 1,
             connect_timeout: Duration::from_secs(10),
             fault: FaultPolicy::default(),
             pool: true,
             chaos: None,
         }
-    }
-
-    /// Set the batch width peers run contiguous same-point slots at
-    /// (clamped to >= 1); result bytes are identical at any width.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
     }
 
     /// Override the per-chunk re-dispatch budget.
@@ -269,7 +258,6 @@ impl RemoteBackend {
         let mut link = FaultInjector::new(transport, self.chaos);
         let request = encode_manifest_request(
             self.worker_threads,
-            self.batch,
             &chunk.manifest,
             crate::trace::current(),
         );
@@ -418,7 +406,6 @@ impl ExecBackend for RemoteBackend {
                 );
                 FleetStats::bump(&fleet_stats().fallbacks);
                 return InProcessBackend::new(self.worker_threads)
-                    .with_batch(self.batch)
                     .run_segments(job, manifest, progress);
             }
             Err(e) => return Err(e),
@@ -590,19 +577,10 @@ impl ExecBackend for RemoteBackend {
     }
 
     fn label(&self) -> String {
-        if self.batch > 1 {
-            format!(
-                "remote(hosts={}, threads/peer={}, batch={})",
-                self.hosts.len(),
-                self.worker_threads,
-                self.batch
-            )
-        } else {
-            format!(
-                "remote(hosts={}, threads/peer={})",
-                self.hosts.len(),
-                self.worker_threads
-            )
-        }
+        format!(
+            "remote(hosts={}, threads/peer={})",
+            self.hosts.len(),
+            self.worker_threads
+        )
     }
 }

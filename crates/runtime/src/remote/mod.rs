@@ -230,11 +230,7 @@ mod tests {
             // Decode the manifest to answer slot 0 honestly first.
             let mut r = wire::Reader::new(&req);
             assert_eq!(r.get_u8().unwrap(), crate::exec::frame::MANIFEST);
-            let _version = r.get_u8().unwrap();
-            let _threads = r.get_u32().unwrap();
-            let _batch = r.get_u32().unwrap();
-            let _trace = r.get_u64().unwrap();
-            let m = TaskManifest::decode(&mut r).unwrap();
+            let m = protocol::decode_manifest_request(r).unwrap().manifest;
             let job = MulJob { factor: 3 };
             let (p, rep, seed) = m.slots()[0];
             let mut body = Vec::new();
@@ -277,11 +273,7 @@ mod tests {
             let req = t.recv().unwrap().unwrap();
             let mut r = wire::Reader::new(&req);
             assert_eq!(r.get_u8().unwrap(), crate::exec::frame::MANIFEST);
-            let _version = r.get_u8().unwrap();
-            let _threads = r.get_u32().unwrap();
-            let _batch = r.get_u32().unwrap();
-            let _trace = r.get_u64().unwrap();
-            let m = TaskManifest::decode(&mut r).unwrap();
+            let m = protocol::decode_manifest_request(r).unwrap().manifest;
             let job = MulJob { factor: 3 };
             let (p, rep, seed) = m.slots()[0];
             let mut body = Vec::new();

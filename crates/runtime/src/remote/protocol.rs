@@ -15,11 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Encode a manifest-dispatch request: tag, protocol version, worker
-/// thread count, batch width, trace ID (wire version 5; `0` = no job
-/// trace context), then the manifest itself.
+/// thread count, trace ID (`0` = no job trace context), then the manifest
+/// itself.
 pub(crate) fn encode_manifest_request(
     threads: usize,
-    batch: usize,
     manifest: &TaskManifest,
     trace: u64,
 ) -> Vec<u8> {
@@ -27,10 +26,43 @@ pub(crate) fn encode_manifest_request(
     wire::put_u8(&mut body, frame::MANIFEST);
     wire::put_u8(&mut body, WIRE_VERSION);
     wire::put_u32(&mut body, threads as u32);
-    wire::put_u32(&mut body, batch.max(1) as u32);
     wire::put_u64(&mut body, trace);
     manifest.encode_into(&mut body);
     body
+}
+
+/// A decoded manifest-dispatch request: the worker's view of
+/// [`encode_manifest_request`].
+#[derive(Debug)]
+pub(crate) struct ManifestRequest {
+    /// Worker threads to run the manifest on (at least 1).
+    pub threads: usize,
+    /// The parent's trace ID (`0` = untraced).
+    pub trace: u64,
+    /// The validated manifest to execute.
+    pub manifest: TaskManifest,
+}
+
+/// Decode a manifest-dispatch request from a reader positioned just past
+/// its tag byte. Every malformed body — wrong version, truncation,
+/// trailing bytes, a manifest that fails [`TaskManifest::validate`] — is a
+/// [`WireError`].
+pub(crate) fn decode_manifest_request(mut r: Reader<'_>) -> Result<ManifestRequest, WireError> {
+    let version = r.get_u8()?;
+    if version != WIRE_VERSION {
+        return Err(WireError::new(format!(
+            "protocol version {version} (worker speaks {WIRE_VERSION})"
+        )));
+    }
+    let threads = (r.get_u32()? as usize).max(1);
+    let trace = r.get_u64()?;
+    let manifest = TaskManifest::decode(&mut r)?;
+    r.finish()?;
+    Ok(ManifestRequest {
+        threads,
+        trace,
+        manifest,
+    })
 }
 
 /// Encode a graceful-shutdown request (no payload).
@@ -298,4 +330,96 @@ pub(crate) fn collect_results(results: Vec<OnceLock<Vec<u8>>>) -> Result<Vec<Vec
             })
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::tests::{decode_mul, MulJob};
+    use crate::exec::JobRegistry;
+    use crate::remote::transport::MemTransport;
+    use proptest::prelude::*;
+
+    /// Offset and width of every length or count field in the request
+    /// body `encode_manifest_request` builds for `m`.
+    fn count_fields(m: &TaskManifest) -> Vec<(usize, usize)> {
+        // tag u8, version u8, threads u32, trace u64.
+        let mut at = 14;
+        let mut fields = vec![(at, 4)]; // kind length
+        at += 4 + m.kind.len();
+        fields.push((at, 4)); // payload length
+        at += 4 + m.payload.len();
+        fields.push((at, 4)); // segment count
+        at += 4;
+        for _ in &m.segments {
+            fields.push((at + 8, 8)); // first replication
+            fields.push((at + 16, 8)); // slot count
+            at += 24;
+        }
+        fields.push((at, 4)); // seed count
+        fields
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mangled manifest requests — truncated, bit-flipped, with an
+        /// inflated length or count field, or under an unknown tag — decode
+        /// to a typed error or to a manifest whose slot count matches its
+        /// seed table, through both `TaskManifest::decode` and the worker's
+        /// request parse, and never panic the worker's serve loop.
+        #[test]
+        fn mangled_manifest_requests_fail_typed(
+            reps in proptest::collection::vec(0u64..4, 0..4),
+            mutation in 0u8..4,
+            pos in 0usize..4096,
+            bit in 0u32..8,
+            big in 0usize..4,
+        ) {
+            let segments = reps
+                .iter()
+                .enumerate()
+                .map(|(point, &n)| Segment { point, base_rep: 0, count: n as usize })
+                .collect();
+            let job = MulJob { factor: 3 };
+            let m = TaskManifest::for_job(&job, segments, &|p, r| 100 * p as u64 + r);
+            let mut body = encode_manifest_request(2, &m, 9);
+            let at = pos % body.len();
+            match mutation {
+                0 => body.truncate(at),
+                1 => body[at] ^= 1 << bit,
+                2 => {
+                    let fields = count_fields(&m);
+                    let (at, width) = fields[pos % fields.len()];
+                    let v = match width {
+                        4 => [u32::MAX, 1 << 31, 1 << 24, 0xFFFF_FF00][big] as u64,
+                        _ => [u64::MAX, 1 << 63, (1 << 63) + 1, 1 << 32][big],
+                    };
+                    body[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                }
+                _ => body[0] = [0x00, 0x4E, 0x7F, 0xFF][big],
+            }
+
+            let mut r = Reader::new(&body);
+            if r.get_u8().ok() == Some(frame::MANIFEST) {
+                if let Ok(req) = decode_manifest_request(r) {
+                    prop_assert_eq!(req.manifest.total_slots(), req.manifest.seeds.len());
+                }
+            }
+            if let Some(bytes) = body.get(14..) {
+                if let Ok(m) = TaskManifest::decode(&mut Reader::new(bytes)) {
+                    prop_assert_eq!(m.total_slots(), m.seeds.len());
+                }
+            }
+
+            let mut framed = Vec::new();
+            wire::write_frame(&mut framed, &body).unwrap();
+            let mut reg = JobRegistry::new();
+            reg.register("test-mul", decode_mul);
+            let served = crate::worker::serve(&reg, &mut MemTransport::new(framed));
+            if mutation == 3 {
+                prop_assert!(served.is_err(), "unknown tag {:#x} accepted", body[0]);
+            }
+        }
+    }
 }

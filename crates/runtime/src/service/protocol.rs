@@ -759,6 +759,17 @@ mod tests {
     }
 
     #[test]
+    fn submit_with_wrapping_segment_counts_is_rejected() {
+        let mut body = Vec::new();
+        wire::put_u8(&mut body, request_tag::SUBMIT);
+        wire::put_u8(&mut body, SERVICE_WIRE_VERSION);
+        wire::put_u32(&mut body, 1);
+        body.extend(crate::exec::tests::wrapping_manifest_bytes());
+        let err = ServiceRequest::decode(&body).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
     fn disposition_and_state_semantics() {
         assert!(Disposition::HitMem.is_hit());
         assert!(Disposition::HitDisk.is_hit());

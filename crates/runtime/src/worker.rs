@@ -18,8 +18,9 @@
 //! connections ([`crate::remote::serve_listener`]). Diagnostics belong on
 //! stderr in both.
 
-use crate::exec::{frame, JobRegistry, TaskManifest, WIRE_VERSION};
-use crate::grid::{run_segments_core, run_segments_core_batched};
+use crate::exec::{frame, JobRegistry, TaskManifest};
+use crate::grid::run_segments_core;
+use crate::remote::protocol::decode_manifest_request;
 use crate::remote::transport::{FrameTransport, StdioTransport};
 use crate::wire::{self, Reader, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,18 +68,8 @@ pub fn serve(
                 return Ok(ServeOutcome::Shutdown);
             }
             frame::MANIFEST => {
-                let version = r.get_u8()?;
-                if version != WIRE_VERSION {
-                    return Err(WireError::new(format!(
-                        "protocol version {version} (worker speaks {WIRE_VERSION})"
-                    )));
-                }
-                let threads = (r.get_u32()? as usize).max(1);
-                let batch = (r.get_u32()? as usize).max(1);
-                let trace = r.get_u64()?;
-                let manifest = TaskManifest::decode(&mut r)?;
-                r.finish()?;
-                serve_manifest(registry, threads, batch, trace, &manifest, transport)?;
+                let req = decode_manifest_request(r)?;
+                serve_manifest(registry, req.threads, req.trace, &req.manifest, transport)?;
             }
             tag => {
                 return Err(WireError::new(format!(
@@ -98,13 +89,12 @@ pub fn serve(
 pub(crate) const HEARTBEAT_INTERVAL: std::time::Duration = std::time::Duration::from_millis(500);
 
 /// Execute one manifest and stream its response frames. `trace` is the
-/// parent's trace ID (wire version 5; `0` = untraced): it becomes the
+/// parent's trace ID (`0` = untraced): it becomes the
 /// ambient trace context for the run, and the spans recorded under it
 /// ship back in one advisory `T` frame ahead of the terminal `D`/`E`.
 fn serve_manifest(
     registry: &JobRegistry,
     threads: usize,
-    batch: usize,
     trace: u64,
     manifest: &TaskManifest,
     transport: &mut dyn FrameTransport,
@@ -183,41 +173,13 @@ fn serve_manifest(
             delivered.fetch_add(1, Ordering::Relaxed);
             Ok(())
         };
-        let outcome = if batch > 1 {
-            // Batched execution: each claim advances a run of contiguous
-            // same-point slots through `PortableJob::run_batch` (the SoA
-            // engine for simulator jobs), then streams the per-lane `R`
-            // frames in replication order. Result bytes are identical to
-            // the slot-at-a-time path — batching is a throughput knob.
-            run_segments_core_batched(
-                threads,
-                batch,
-                None,
-                &manifest.segments,
-                &|flat_base, point, base_rep, count| {
-                    for lane in 0..count {
-                        chaos_check(flat_base + lane);
-                    }
-                    let seeds = &manifest.seeds[flat_base..flat_base + count];
-                    job.run_batch(point, base_rep, seeds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(lane, res)| match res {
-                            Ok(bytes) => send_result(flat_base + lane, &bytes),
-                            Err(message) => Err(SlotFailure::Task(message)),
-                        })
-                        .collect()
-                },
-            )
-        } else {
-            run_segments_core(threads, None, &manifest.segments, &|flat, point, rep| {
-                chaos_check(flat);
-                match job.run_slot(point, rep, manifest.seeds[flat]) {
-                    Ok(bytes) => send_result(flat, &bytes),
-                    Err(message) => Err(SlotFailure::Task(message)),
-                }
-            })
-        };
+        let outcome = run_segments_core(threads, None, &manifest.segments, &|flat, point, rep| {
+            chaos_check(flat);
+            match job.run_slot(point, rep, manifest.seeds[flat]) {
+                Ok(bytes) => send_result(flat, &bytes),
+                Err(message) => Err(SlotFailure::Task(message)),
+            }
+        });
         *finished.lock().expect("heartbeat mutex never poisoned") = true;
         finished_cv.notify_all();
         outcome
@@ -284,14 +246,10 @@ mod tests {
     }
 
     fn manifest_request(threads: usize, manifest: &TaskManifest) -> Vec<u8> {
-        batched_manifest_request(threads, 1, manifest)
-    }
-
-    fn batched_manifest_request(threads: usize, batch: usize, manifest: &TaskManifest) -> Vec<u8> {
         let mut framed = Vec::new();
         wire::write_frame(
             &mut framed,
-            &crate::remote::protocol::encode_manifest_request(threads, batch, manifest, 0),
+            &crate::remote::protocol::encode_manifest_request(threads, manifest, 0),
         )
         .unwrap();
         framed
@@ -355,39 +313,6 @@ mod tests {
         assert!(done);
         let seen: Vec<Vec<u8>> = seen.into_iter().map(|s| s.unwrap()).collect();
         assert_eq!(seen, expect);
-    }
-
-    #[test]
-    fn batched_serve_is_byte_identical_to_scalar_serve() {
-        // The same manifest served at every batch width must deliver the
-        // same slot bytes — only frame interleaving may differ, and with
-        // one thread not even that.
-        let m = mul_manifest(&[3, 5, 2]);
-        let collect = |batch: usize| {
-            let mut t = MemTransport::new(batched_manifest_request(1, batch, &m));
-            assert_eq!(serve(&registry(), &mut t).unwrap(), ServeOutcome::Eof);
-            let mut seen = vec![None; m.total_slots()];
-            let mut stream = &t.output[..];
-            while let Some(body) = wire::read_frame(&mut stream).unwrap() {
-                let mut r = Reader::new(&body);
-                match r.get_u8().unwrap() {
-                    frame::RESULT => {
-                        let local = r.get_u64().unwrap() as usize;
-                        seen[local] = Some(r.get_bytes().unwrap().to_vec());
-                    }
-                    frame::DONE => assert_eq!(r.get_u64().unwrap(), m.total_slots() as u64),
-                    frame::HEARTBEAT | frame::PROGRESS | frame::SPANS => {}
-                    tag => panic!("unexpected tag {tag}"),
-                }
-            }
-            seen.into_iter()
-                .map(|s| s.unwrap())
-                .collect::<Vec<Vec<u8>>>()
-        };
-        let scalar = collect(1);
-        for batch in [2usize, 4, 64] {
-            assert_eq!(scalar, collect(batch), "batch={batch}");
-        }
     }
 
     #[test]
@@ -485,9 +410,9 @@ mod tests {
         // Wrong protocol version.
         let mut body = Vec::new();
         wire::put_u8(&mut body, frame::MANIFEST);
-        wire::put_u8(&mut body, WIRE_VERSION + 1);
+        wire::put_u8(&mut body, crate::exec::WIRE_VERSION + 1);
         wire::put_u32(&mut body, 1);
-        wire::put_u32(&mut body, 1);
+        wire::put_u64(&mut body, 0);
         m.encode_into(&mut body);
         let mut framed = Vec::new();
         wire::write_frame(&mut framed, &body).unwrap();
