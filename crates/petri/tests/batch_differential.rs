@@ -1,70 +1,72 @@
-//! Differential tests for the batched SoA engine: `BatchSimulator` must
-//! reproduce the scalar engine (`Simulator::run`) **bit for bit** — per
-//! replication, at every batch width — across every feature the engine
+//! Batch differential tests: a batch of replications scheduled on the
+//! runtime's work-stealing grid (`sim_runtime::Runner`, the executor behind
+//! `run_replications_parallel` and every experiment sweep) must reproduce
+//! the reference engine (`Simulator::run_reference`) **bit for bit** — per
+//! replication, at every thread count — across every feature the engine
 //! supports: uncolored and colored nets, guards, inhibitors, priorities and
-//! weights, all three memory policies, traces, warm-up windows, and lanes
-//! that retire mid-batch (per-lane horizons and per-lane errors).
+//! weights, all three memory policies, traces, warm-up windows, and runs
+//! that end in errors while their batchmates finish.
 //!
-//! Lanes never interact and each consumes its RNG exactly as the scalar
-//! engine does, so any divergence is a real indexing/striping bug in the
-//! batch machinery, not floating-point noise — hence `assert_eq` on `f64`
-//! values, not tolerances.
+//! Replications never interact and each consumes its RNG exactly as a
+//! single run does, so any divergence is a real scheduling or engine bug,
+//! not floating-point noise — hence `assert_eq` on `f64` values, not
+//! tolerances.
 
 use petri_core::arc::ColorExpr;
 use petri_core::prelude::*;
+use petri_core::rng::SimRng;
 use petri_core::sim::RewardSpec;
-use proptest::prelude::*;
+use sim_runtime::Runner;
 
-/// The batch widths every net is checked at (1 = degenerate batch, primes
-/// and non-divisors of the seed count to exercise ragged tail chunks).
-const WIDTHS: [usize; 5] = [1, 2, 3, 8, 33];
+/// The worker-thread counts every batch is scheduled at (1 = sequential,
+/// 3 does not divide the seed count, 8 exceeds the cores of small hosts).
+const THREADS: [usize; 4] = [1, 2, 3, 8];
 const SEEDS: std::ops::Range<u64> = 0..33;
 
-fn assert_same_output(a: &SimOutput, b: &SimOutput, label: &str, seed: u64, width: usize) {
-    let ctx = format!("{label} seed {seed} width {width}");
-    assert_eq!(
-        a.firing_counts, b.firing_counts,
-        "{ctx}: firing counts diverged"
-    );
-    assert_eq!(a.rewards, b.rewards, "{ctx}: rewards diverged");
-    assert_eq!(
-        a.final_marking, b.final_marking,
-        "{ctx}: final markings diverged"
-    );
-    assert_eq!(a.trace, b.trace, "{ctx}: traces diverged");
-    assert_eq!(a.trace_dropped, b.trace_dropped, "{ctx}: trace_dropped");
-    assert_eq!(a.observed_time, b.observed_time, "{ctx}: observed_time");
-}
-
-/// Run the scalar engine once per seed, then every batch width over the
-/// same seeds — on both the interpreter's batch engine and the default
-/// (lowered) path — and require bit-identical per-replication results.
+/// Run the reference engine once per seed, then schedule the same seeds as
+/// one batch at every thread count, and require bit-identical outputs per
+/// replication. The replication summary of `run_replications_parallel`
+/// must equal the in-order fold of the reference runs as well.
 fn assert_batch_identical(sim: &Simulator<'_>, label: &str) {
     let seeds: Vec<u64> = SEEDS.collect();
-    let scalar: Vec<_> = seeds.iter().map(|&s| sim.run(s)).collect();
-    let batcher = BatchSimulator::new(sim);
-    for &w in &WIDTHS {
-        for (ci, chunk) in seeds.chunks(w).enumerate() {
-            for batched in [batcher.run(chunk), batcher.run_interp(chunk)] {
-                for (j, res) in batched.iter().enumerate() {
-                    let i = ci * w + j;
-                    match (&scalar[i], res) {
-                        (Ok(a), Ok(b)) => assert_same_output(a, b, label, seeds[i], w),
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a, b, "{label} seed {} width {w}: errors diverged", seeds[i])
-                        }
-                        (a, b) => panic!(
-                            "{label} seed {} width {w}: scalar {a:?} vs batched {b:?}",
-                            seeds[i]
-                        ),
-                    }
-                }
-            }
+    let reference: Vec<_> = seeds.iter().map(|&s| sim.run_reference(s)).collect();
+    for &threads in &THREADS {
+        let [batch] = <[_; 1]>::try_from(
+            Runner::new(threads).grid(&[seeds.len() as u64], |_, i| sim.run(seeds[i as usize])),
+        )
+        .expect("one point scheduled");
+        assert_eq!(batch.len(), seeds.len(), "{label} threads {threads}");
+        for ((seed, got), want) in seeds.iter().zip(&batch).zip(&reference) {
+            assert_eq!(
+                got, want,
+                "{label} seed {seed} threads {threads}: batch vs reference diverged"
+            );
         }
+    }
+
+    const BASE_SEED: u64 = 7;
+    let n = seeds.len() as u64;
+    let mut folded = vec![Welford::new(); sim.reward_count()];
+    for i in 0..n {
+        let out = sim
+            .run_reference(SimRng::child_seed(BASE_SEED, i))
+            .unwrap_or_else(|e| panic!("{label} replication {i}: {e}"));
+        for (w, &x) in folded.iter_mut().zip(&out.rewards) {
+            w.push(x);
+        }
+    }
+    for &threads in &THREADS {
+        let summary = run_replications_parallel(sim, BASE_SEED, n, threads)
+            .unwrap_or_else(|e| panic!("{label} threads {threads}: {e}"));
+        assert_eq!(summary.replications, n, "{label} threads {threads}");
+        assert_eq!(
+            summary.rewards, folded,
+            "{label} threads {threads}: replication summary vs reference fold diverged"
+        );
     }
 }
 
-// --- the seven differential nets (same shapes as tests/differential.rs) ---
+// --- the differential nets (same shapes as tests/differential.rs) ---
 
 fn mm1_net() -> Net {
     let mut b = NetBuilder::new("mm1");
@@ -256,7 +258,7 @@ fn tandem_rewards(net: &Net, sim: &mut Simulator<'_>) {
     sim.reward_place(net.place_by_name("p1").unwrap());
 }
 
-// --- per-net batch-vs-scalar identity at every width ---
+// --- per-net batch-vs-reference identity at every thread count ---
 
 #[test]
 fn batch_differential_mm1() {
@@ -314,9 +316,9 @@ fn batch_differential_tandem_batching() {
     assert_batch_identical(&sim, "tandem-batching");
 }
 
-/// A 40-stage tandem line: with more than 32 transitions the batch engine
-/// falls back from the stripe-scan scheduler to the per-lane lazy-deletion
-/// heaps, so this net keeps the heap path under differential coverage.
+/// A 40-stage tandem line: with more than 32 transitions the lowered
+/// engine falls back from the stripe-scan scheduler to the lazy-deletion
+/// heap, so this net keeps the heap path under batch coverage too.
 #[test]
 fn batch_differential_wide_net_heap_scheduler() {
     const STAGES: usize = 40;
@@ -343,64 +345,10 @@ fn batch_differential_wide_net_heap_scheduler() {
     assert_batch_identical(&sim, "wide-tandem-heap");
 }
 
-// --- mid-batch retirement: lanes with different horizons, and lanes that
-// --- error, must each match the scalar engine run to that lane's horizon.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn mid_batch_retirement_is_bit_identical(
-        horizons in proptest::collection::vec(0.5f64..250.0, 2..12),
-        seed0 in 0u64..1_000,
-    ) {
-        let net = dvs_net();
-        let mut sim = Simulator::new(&net, SimConfig::for_horizon(250.0).with_warmup(5.0));
-        dvs_rewards(&net, &mut sim);
-        let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + i).collect();
-        let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
-        for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-            let mut cfg = sim.config().clone();
-            cfg.end_time = h;
-            let mut oracle = Simulator::new(&net, cfg);
-            dvs_rewards(&net, &mut oracle);
-            let scalar = oracle.run(seed).unwrap();
-            let b = batched[i].as_ref().unwrap();
-            prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
-            prop_assert_eq!(&b.rewards, &scalar.rewards);
-            prop_assert_eq!(&b.final_marking, &scalar.final_marking);
-            prop_assert_eq!(b.observed_time, scalar.observed_time);
-        }
-    }
-
-    #[test]
-    fn mixed_horizons_under_memory_policies(
-        horizons in proptest::collection::vec(1.0f64..300.0, 2..9),
-        seed0 in 0u64..1_000,
-    ) {
-        for policy in [MemoryPolicy::RaceEnable, MemoryPolicy::RaceAge, MemoryPolicy::Resample] {
-            let net = memory_policy_net(policy);
-            let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0));
-            memory_rewards(&net, &mut sim);
-            let seeds: Vec<u64> = (0..horizons.len() as u64).map(|i| seed0 + 31 * i).collect();
-            let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
-            for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-                let mut cfg = sim.config().clone();
-                cfg.end_time = h;
-                let mut oracle = Simulator::new(&net, cfg);
-                memory_rewards(&net, &mut oracle);
-                let scalar = oracle.run(seed).unwrap();
-                let b = batched[i].as_ref().unwrap();
-                prop_assert_eq!(&b.firing_counts, &scalar.firing_counts);
-                prop_assert_eq!(&b.rewards, &scalar.rewards);
-                prop_assert_eq!(&b.final_marking, &scalar.final_marking);
-            }
-        }
-    }
-}
-
-/// A lane that trips `TokenOverflow` retires with exactly the scalar error
-/// while its batchmates run to their horizons undisturbed.
+/// A batch whose overflowing replications end in `TokenOverflow` returns
+/// exactly the reference engine's error for those replications while the
+/// short-horizon batchmates run to their horizons undisturbed; the fallible
+/// grid reports the lowest-indexed error.
 #[test]
 fn erroring_lanes_match_scalar_errors() {
     let mut b = NetBuilder::new("boom");
@@ -412,23 +360,42 @@ fn erroring_lanes_match_scalar_errors() {
         .input(q, 1)
         .build();
     let net = b.build().unwrap();
-    let mut cfg = SimConfig::for_horizon(10_000.0);
-    cfg.max_tokens_per_place = 40;
-    let sim = Simulator::new(&net, cfg);
-    // Long lanes overflow; the 0.5 s lane finishes cleanly first.
+    // Long lanes overflow; the 0.5 s lanes finish cleanly first.
     let seeds = [3u64, 4, 5, 6];
     let horizons = [10_000.0, 0.5, 10_000.0, 0.5];
-    let batched = BatchSimulator::new(&sim).run_with_horizons(&seeds, &horizons);
-    for (i, (&seed, &h)) in seeds.iter().zip(&horizons).enumerate() {
-        let mut cfg = sim.config().clone();
-        cfg.end_time = h;
-        let oracle = Simulator::new(&net, cfg);
-        match (oracle.run(seed), &batched[i]) {
-            (Ok(a), Ok(b)) => assert_same_output(&a, b, "boom", seed, 4),
-            (Err(a), Err(b)) => assert_eq!(&a, b, "lane {i}: errors diverged"),
-            (a, b) => panic!("lane {i}: scalar {a:?} vs batched {b:?}"),
+    let sims: Vec<Simulator<'_>> = horizons
+        .iter()
+        .map(|&h| {
+            let mut cfg = SimConfig::for_horizon(h);
+            cfg.max_tokens_per_place = 40;
+            Simulator::new(&net, cfg)
+        })
+        .collect();
+    let reference: Vec<_> = sims
+        .iter()
+        .zip(&seeds)
+        .map(|(sim, &seed)| sim.run_reference(seed))
+        .collect();
+    for &threads in &THREADS {
+        let batch = Runner::new(threads).grid(&[1; 4], |lane, _| sims[lane].run(seeds[lane]));
+        for (lane, (got, want)) in batch.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                &got[0], want,
+                "lane {lane} threads {threads}: batch vs reference diverged"
+            );
         }
+        let first_error = Runner::new(threads)
+            .try_grid(&[1; 4], |lane, _| sims[lane].run(seeds[lane]))
+            .expect_err("the long lanes overflow");
+        assert_eq!(
+            Err(first_error),
+            reference[0],
+            "threads {threads}: fallible grid reported a different error"
+        );
     }
-    // The long lanes really did overflow (the test is not vacuous).
-    assert!(matches!(batched[0], Err(SimError::TokenOverflow { .. })));
+    // The long lanes really did overflow and the short ones did not (the
+    // test is not vacuous).
+    assert!(matches!(reference[0], Err(SimError::TokenOverflow { .. })));
+    assert!(matches!(reference[2], Err(SimError::TokenOverflow { .. })));
+    assert!(reference[1].is_ok() && reference[3].is_ok());
 }

@@ -231,35 +231,6 @@ fn lowered_differential_immediate_conflicts() {
     assert_lowered_identical(&sim, "immediate-conflicts");
 }
 
-/// Multi-token arcs and multi-place invariant chains (tandem), uncolored.
-#[test]
-fn lowered_differential_tandem() {
-    let mut b = NetBuilder::new("tandem");
-    let p0 = b.place("p0").build();
-    let p1 = b.place("p1").build();
-    let p2 = b.place("p2").build();
-    b.transition("source", Timing::exponential(2.0))
-        .output(p0, 1)
-        .build();
-    // Batch mover: needs 3 tokens, emits 3.
-    b.transition("batch", Timing::deterministic(0.4))
-        .input(p0, 3)
-        .output(p1, 3)
-        .build();
-    b.transition("step", Timing::exponential(3.0))
-        .input(p1, 1)
-        .output(p2, 1)
-        .build();
-    b.transition("sink", Timing::exponential(2.5))
-        .input(p2, 1)
-        .build();
-    let net = b.build().unwrap();
-    let mut sim = Simulator::new(&net, SimConfig::for_horizon(600.0));
-    sim.reward_place(p0);
-    sim.reward_place(p1);
-    assert_lowered_identical(&sim, "tandem");
-}
-
 /// A 40-stage tandem line: more than 32 transitions, so the lowered
 /// engine falls back from the stripe scan to the lazy-deletion heap —
 /// this keeps the heap instantiation under differential coverage.
