@@ -3,17 +3,23 @@
 //! median of per-pair ratios — robust to the drift of noisy shared-CPU
 //! hosts. Writes `BENCH_engine.json`-ready numbers to stdout.
 //!
-//! Nets: mm1, tandem lines of 4/16/64 stages, the Fig. 3 CPU net, and the
+//! Nets: mm1, tandem lines of 4/16/64 stages, the Fig. 3 CPU net with the
+//! reward set `wsn::simulate_cpu_model` registers for Figs. 4–9, and the
 //! paper's node SCPN with its Fig. 14/15 rewards (closed at the fig14
 //! defaults, open at the fig15 defaults, 900 s). One sweep per net:
 //! `lowered vs reference` — the lowered engine behind `Simulator::run`
-//! against the from-scratch reference engine it is tested against.
+//! against the from-scratch reference engine it is tested against. Each
+//! row also gives the lowered engine's ns per firing.
+//!
+//! A last, unpaired row times `des::simulate_cpu`, the ground truth each
+//! Figs. 4–9 slot runs beside the Fig. 3 net, at PUD 0.3 s, PDT 0.5 s and
+//! 5000 s, in ns per processed event.
 //!
 //! ```text
 //! cargo run --release -p bench --bin engine_ab [pairs_per_net]
 //! ```
 
-use des::{NodeSimParams, Workload};
+use des::{CpuSimParams, NodeSimParams, Workload};
 use petri_core::prelude::*;
 use std::time::Instant;
 
@@ -78,11 +84,37 @@ fn sweep(label: &str, sim: &Simulator<'_>, runs_per_block: u64, pairs: usize) {
         |p| block(p, Engine::Lowered),
         |p| block(p, Engine::Reference),
     );
+    let firings: u64 = (0..runs_per_block)
+        .map(|i| sim.run(i + 1).unwrap().total_firings())
+        .sum();
     println!(
-        "{label:<20} lowered vs reference   base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x",
+        "{label:<20} lowered vs reference   base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x  lowered {:6.1} ns/event",
         stats.b_ns / 1e6,
         stats.a_ns / 1e6,
         stats.speedup,
+        stats.a_ns * runs_per_block as f64 / firings as f64,
+    );
+}
+
+/// Median ns per processed event of `des::simulate_cpu` over `blocks`
+/// blocks of `runs` seeds. The events counted are the live ones the
+/// simulator pops: every arrival and service completion, plus one
+/// wake-up completion and one power-down per wake-up.
+fn des_cpu_row(label: &str, params: &CpuSimParams, runs: u64, blocks: usize) {
+    let block = |b: usize| {
+        let t0 = Instant::now();
+        let mut events = 0u64;
+        for i in 0..runs {
+            let r = des::simulate_cpu(params, b as u64 * runs + i + 1);
+            events += r.jobs_arrived + r.jobs_served + 2 * r.wakeups;
+        }
+        t0.elapsed().as_nanos() as f64 / events as f64
+    };
+    let _ = block(0);
+    let mut ns: Vec<f64> = (0..blocks).map(block).collect();
+    println!(
+        "{label:<20} des::simulate_cpu      {:6.1} ns/event (median of {blocks} blocks, unpaired)",
+        bench::ab::median(&mut ns),
     );
 }
 
@@ -108,8 +140,16 @@ fn main() {
         );
     }
 
+    // The Fig. 3 CPU net with `simulate_cpu_model`'s rewards: the four
+    // power-state places, the queue, and the wake-up and service counts.
     let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(0.1, 0.3));
-    let sim = Simulator::new(&model.net, SimConfig::for_horizon(1000.0));
+    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(1000.0));
+    let pl = &model.places;
+    for p in [pl.stand_by, pl.powering_up, pl.idle, pl.active, pl.buffer] {
+        sim.reward_place(p);
+    }
+    sim.reward_firings(model.transitions.t1);
+    sim.reward_firings(model.transitions.service);
     sweep("fig3_cpu_1000s", &sim, 6, pairs);
 
     // The paper's node SCPN (Figs. 12/13) with its Fig. 14/15 rewards:
@@ -124,4 +164,8 @@ fn main() {
         let (sim, _) = wsn::node_simulator(&model, params.horizon);
         sweep(label, &sim, 2, pairs);
     }
+
+    let mut params = CpuSimParams::paper_defaults(0.5, 0.3);
+    params.horizon = 5000.0;
+    des_cpu_row("des_cpu_5000s", &params, 4, pairs);
 }

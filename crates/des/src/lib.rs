@@ -4,8 +4,8 @@
 //! (Sec. IV) plus a full node-level simulator used to cross-validate the
 //! Petri-net models:
 //!
-//! * [`kernel`] — generic event queue with exact tie-breaking and
-//!   cancellation.
+//! * [`kernel`] — generic event queue with exact tie-breaking and O(1)
+//!   cancellation through a generation slab (no per-event hashing).
 //! * [`cpu`] — the power-managed CPU simulator built strictly from the
 //!   paper's four assumptions (the solid "Simulation" curves of Figs. 4–9).
 //! * [`node`] — the whole sensor node (radio + CPU + closed/open workload),

@@ -314,11 +314,7 @@ pub fn simulate_node(params: &NodeSimParams, seed: u64) -> NodeSimResult {
         q.schedule_in(params.radio_startup, Ev::RadioPhaseDone);
     }
 
-    while let Some(t_next) = q.peek_time() {
-        if t_next >= params.horizon {
-            break;
-        }
-        let (now, ev) = q.pop().expect("peeked");
+    while let Some((now, ev)) = q.pop_before(params.horizon) {
         match ev {
             Ev::GenFire => {
                 events += 1;

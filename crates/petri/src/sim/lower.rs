@@ -22,8 +22,10 @@
 //!   disappears; an exponential RaceEnable re-check is a single opcode.
 //! * A **startup program** replays the reference engine's initial scheduling
 //!   pass (every timed transition re-checked in definition order).
-//! * Time-based rewards become a flat integration program over dense
-//!   accumulator stripes; counter rewards become hook ops.
+//! * Time-based rewards become an integration program over dense
+//!   accumulator stripes, one array per reward kind (place count,
+//!   single-count threshold, sum-of-counts threshold, postfix predicate) so
+//!   each kind integrates in a tight loop; counter rewards become hook ops.
 //!
 //! # Colored places, guards and predicates
 //!
@@ -520,49 +522,65 @@ pub(super) fn dec_f64(ops: &[u32], i: usize) -> f64 {
 // Reward lowering
 // ---------------------------------------------------------------------------
 
-/// One step of the reward integration program, run per time advance.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum IntegOp {
-    /// `acc_f[acc] += count(place) * dt`.
-    Place {
-        /// Watched place (raw index).
-        place: u32,
-        /// Target slot in the lane's `f64` accumulator stripe.
-        acc: u32,
-    },
-    /// `acc_f[acc] += dt` when `(count(place) >= need) ^ lt` holds (a
-    /// `count cmp const` predicate lowered to its threshold form).
-    PredCnt {
-        /// Watched count (place or hidden slot, raw index).
-        place: u32,
-        /// Threshold (see [`cmp_threshold`]).
-        need: u32,
-        /// Invert the comparison (`count < need`).
-        lt: bool,
-        /// Target slot in the lane's `f64` accumulator stripe.
-        acc: u32,
-    },
-    /// `acc_f[acc] += dt` when `(sum >= need) ^ lt` holds, `sum` being the
-    /// total of the counts `LoweredNet::integ_places[start..end]`.
-    PredSum {
-        /// Range of watched counts in `LoweredNet::integ_places`.
-        start: u32,
-        /// End of the range.
-        end: u32,
-        /// Threshold (see [`cmp_threshold`]).
-        need: u64,
-        /// Invert the comparison (`sum < need`).
-        lt: bool,
-        /// Target slot in the lane's `f64` accumulator stripe.
-        acc: u32,
-    },
-    /// `acc_f[acc] += dt` when predicate `prog` holds.
-    Pred {
-        /// Index into the simulator's compiled predicate programs.
-        prog: u32,
-        /// Target slot in the lane's `f64` accumulator stripe.
-        acc: u32,
-    },
+/// A `count cmp const` predicate reward in threshold form: `acc_f[acc] +=
+/// dt` when `(count(place) >= need) ^ lt` holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct PredCnt {
+    /// Watched count (place or hidden slot, raw index).
+    pub(super) place: u32,
+    /// Threshold (see [`cmp_threshold`]).
+    pub(super) need: u32,
+    /// Invert the comparison (`count < need`).
+    pub(super) lt: bool,
+    /// Target slot in the run's `f64` accumulator stripe.
+    pub(super) acc: u32,
+}
+
+/// A sum-of-counts predicate reward in threshold form: `acc_f[acc] += dt`
+/// when `(sum >= need) ^ lt` holds, `sum` being the total of the counts
+/// `Integ::sum_places[start..end]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct PredSum {
+    /// Range of watched counts in [`Integ::sum_places`].
+    pub(super) start: u32,
+    /// End of the range.
+    pub(super) end: u32,
+    /// Threshold (see [`cmp_threshold`]).
+    pub(super) need: u64,
+    /// Invert the comparison (`sum < need`).
+    pub(super) lt: bool,
+    /// Target slot in the run's `f64` accumulator stripe.
+    pub(super) acc: u32,
+}
+
+/// The reward integration program, run per time advance: one array per
+/// kind of time-based reward, so each kind runs as a tight loop with no
+/// per-reward dispatch. Every reward owns its accumulator, so splitting
+/// by kind leaves each accumulator's sequence of additions unchanged.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Integ {
+    /// Place rewards `(place, acc)`: `acc_f[acc] += count(place) * dt`.
+    pub(super) place: Vec<(u32, u32)>,
+    /// Single-count predicate rewards.
+    pub(super) pred_cnt: Vec<PredCnt>,
+    /// Sum-of-counts predicate rewards.
+    pub(super) pred_sum: Vec<PredSum>,
+    /// Count indices summed by [`PredSum`] records.
+    pub(super) sum_places: Vec<u32>,
+    /// Predicate rewards left as postfix programs `(prog, acc)`:
+    /// `acc_f[acc] += dt` when the simulator's predicate program `prog`
+    /// holds.
+    pub(super) pred: Vec<(u32, u32)>,
+}
+
+impl Integ {
+    /// No time-based reward registered.
+    pub(super) fn is_empty(&self) -> bool {
+        self.place.is_empty()
+            && self.pred_cnt.is_empty()
+            && self.pred_sum.is_empty()
+            && self.pred.is_empty()
+    }
 }
 
 /// How one registered reward is reported at finalize, mapping the
@@ -628,9 +646,7 @@ pub(crate) struct LoweredNet {
     /// index `num_places + k`) counts color `.1` in split place `.0`.
     pub(super) slots: Vec<(u32, Color)>,
     /// Reward integration program (time-based rewards only).
-    pub(super) integ: Vec<IntegOp>,
-    /// Count indices summed by [`IntegOp::PredSum`] records.
-    pub(super) integ_places: Vec<u32>,
+    pub(super) integ: Integ,
     /// Stride of the per-lane `f64` accumulator stripe.
     pub(super) n_integ: usize,
     /// Stride of the per-lane counter accumulator stripe.
@@ -653,47 +669,42 @@ impl LoweredNet {
         let mut split = Split::analyze(net);
 
         // --- rewards: dense accumulator slots + finalize mapping ---
-        let mut integ = Vec::new();
-        let mut integ_places = Vec::new();
+        let mut integ = Integ::default();
         let mut reward_map = Vec::with_capacity(sim.rewards.len());
         let mut counter_idx = vec![u32::MAX; sim.rewards.len()];
         let (mut n_integ, mut n_count) = (0u32, 0u32);
         for (i, spec) in sim.rewards.iter().enumerate() {
             match spec {
                 RewardSpec::PlaceTokens(p) => {
-                    integ.push(IntegOp::Place {
-                        place: p.index() as u32,
-                        acc: n_integ,
-                    });
+                    integ.place.push((p.index() as u32, n_integ));
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
                 RewardSpec::Predicate(e) => {
                     let acc = n_integ;
-                    integ.push(match split.sum_threshold(net, e) {
-                        Some((places, lt, need)) if places.len() == 1 => IntegOp::PredCnt {
-                            place: places[0],
-                            // A single count's threshold fits its width.
-                            need: need as u32,
-                            lt,
-                            acc,
-                        },
+                    match split.sum_threshold(net, e) {
+                        Some((places, lt, need)) if places.len() == 1 => {
+                            integ.pred_cnt.push(PredCnt {
+                                place: places[0],
+                                // A single count's threshold fits its width.
+                                need: need as u32,
+                                lt,
+                                acc,
+                            })
+                        }
                         Some((places, lt, need)) => {
-                            let start = integ_places.len() as u32;
-                            integ_places.extend(places);
-                            IntegOp::PredSum {
+                            let start = integ.sum_places.len() as u32;
+                            integ.sum_places.extend(places);
+                            integ.pred_sum.push(PredSum {
                                 start,
-                                end: integ_places.len() as u32,
+                                end: integ.sum_places.len() as u32,
                                 need,
                                 lt,
                                 acc,
-                            }
+                            });
                         }
-                        None => IntegOp::Pred {
-                            prog: i as u32,
-                            acc,
-                        },
-                    });
+                        None => integ.pred.push((i as u32, acc)),
+                    }
                     reward_map.push(LoweredReward::Integral(n_integ));
                     n_integ += 1;
                 }
@@ -910,7 +921,6 @@ impl LoweredNet {
             conds,
             slots: split.slots,
             integ,
-            integ_places,
             n_integ: n_integ as usize,
             n_count: n_count as usize,
             reward_map,
@@ -1124,13 +1134,15 @@ mod tests {
         let lw = lowered(&net, &[active_expr]);
         assert!(!lw.colored, "node-shaped net left the dense loop");
         assert!(matches!(
-            lw.integ[..],
-            [IntegOp::PredSum {
+            lw.integ.pred_sum[..],
+            [PredSum {
                 need: 1,
                 lt: false,
                 ..
             }]
         ));
+        assert!(lw.integ.place.is_empty() && lw.integ.pred_cnt.is_empty());
+        assert!(lw.integ.pred.is_empty());
     }
 
     #[test]
@@ -1261,35 +1273,32 @@ mod tests {
                 c(0).gt_c(1).or(c(1).gt_c(0)),
             ],
         );
-        let sum = |op: &IntegOp| match *op {
-            IntegOp::PredSum {
-                start,
-                end,
-                need,
-                lt,
-                ..
-            } => Some((
-                lw.integ_places[start as usize..end as usize].to_vec(),
-                lt,
-                need,
-            )),
-            _ => None,
+        // Each reward lands in its kind's array, keyed by its accumulator.
+        let sum = |acc: u32| {
+            lw.integ.pred_sum.iter().find(|r| r.acc == acc).map(|r| {
+                (
+                    lw.integ.sum_places[r.start as usize..r.end as usize].to_vec(),
+                    r.lt,
+                    r.need,
+                )
+            })
         };
-        assert_eq!(sum(&lw.integ[0]), Some((vec![0, 1], false, 1)));
-        assert_eq!(sum(&lw.integ[1]), Some((vec![0, 1, 2], false, 1)));
-        assert_eq!(sum(&lw.integ[2]), Some((vec![0, 1], false, 0)));
-        assert_eq!(sum(&lw.integ[3]), Some((vec![2, 3], true, 0)));
-        assert!(matches!(
-            lw.integ[4],
-            IntegOp::PredCnt {
+        assert_eq!(sum(0), Some((vec![0, 1], false, 1)));
+        assert_eq!(sum(1), Some((vec![0, 1, 2], false, 1)));
+        assert_eq!(sum(2), Some((vec![0, 1], false, 0)));
+        assert_eq!(sum(3), Some((vec![2, 3], true, 0)));
+        assert_eq!(lw.integ.pred_sum.len(), 4);
+        assert_eq!(
+            lw.integ.pred_cnt,
+            [PredCnt {
                 place: 3,
                 need: 1,
                 lt: false,
-                ..
-            }
-        ));
-        assert!(matches!(lw.integ[5], IntegOp::Pred { prog: 5, .. }));
-        assert!(matches!(lw.integ[6], IntegOp::Pred { prog: 6, .. }));
+                acc: 4,
+            }]
+        );
+        assert_eq!(lw.integ.pred, [(5, 5), (6, 6)]);
+        assert!(lw.integ.place.is_empty());
     }
 
     #[test]
@@ -1322,6 +1331,7 @@ mod tests {
         assert!(lw.scan);
         assert!(!lw.colored);
         assert_eq!(lw.n_integ, 1);
+        assert_eq!(lw.integ.place, [(0, 0)]);
         assert_eq!(lw.n_count, 0);
         // Two exponential RaceEnable transitions: the startup program is
         // two stride-padded OP_RE_EXP records with inline rates.

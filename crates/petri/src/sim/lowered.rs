@@ -33,10 +33,10 @@ use super::engine::{
     effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
 };
 use super::lower::{
-    dec_f64, CondInit, IntegOp, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD,
-    OP_BAG_PUT, OP_BAG_TAKE, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL,
-    OP_RA_EXP, OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL,
-    OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE, TID_IMMEDIATE,
+    dec_f64, CondInit, Integ, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, OP_BAG_PUT,
+    OP_BAG_TAKE, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP,
+    OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP,
+    OP_RS_UNI, RECHECK_STRIDE, TID_IMMEDIATE,
 };
 use super::trace::TraceBuffer;
 use crate::error::SimError;
@@ -156,16 +156,13 @@ struct Shared<'x> {
     sec: &'x [u32],
     /// Startup recheck program.
     init_ops: &'x [u32],
-    /// Reward integration program.
-    integ: &'x [IntegOp],
-    /// Count indices summed by [`IntegOp::PredSum`] records.
-    integ_places: &'x [u32],
+    /// Reward integration program, one array per reward kind.
+    integ: &'x Integ,
+    /// Some time-based reward is registered.
+    integ_on: bool,
     /// Hidden count slots of the split places (debug oracle only).
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     slots: &'x [(u32, Color)],
-    /// The dominant "one time-averaged place count" reward shape,
-    /// pre-matched so per-event integration is a single multiply-add.
-    integ1: Option<(u32, u32)>,
     cs: &'x CompiledSim,
     net: &'x Net,
     cfg: &'x SimConfig,
@@ -743,7 +740,7 @@ impl<'x> Lane<'x> {
     /// warm-up boundary (the reference engine's `integrate_rewards`).
     #[inline(always)]
     fn integrate(&mut self, sh: &Shared<'_>, until: f64) {
-        if sh.integ.is_empty() {
+        if !sh.integ_on {
             return;
         }
         let from = self.now.max(sh.warmup);
@@ -751,48 +748,30 @@ impl<'x> Lane<'x> {
         if dt <= 0.0 {
             return;
         }
-        if let Some((place, acc)) = sh.integ1 {
+        let ig = sh.integ;
+        for &(place, acc) in &ig.place {
             self.acc_f[acc as usize] += self.marking.count_raw(place) as f64 * dt;
-            return;
         }
-        for op in sh.integ {
-            match *op {
-                IntegOp::Place { place, acc } => {
-                    self.acc_f[acc as usize] += self.marking.count_raw(place) as f64 * dt;
-                }
-                IntegOp::PredCnt {
-                    place,
-                    need,
-                    lt,
-                    acc,
-                } => {
-                    if (self.marking.count_raw(place) >= need) != lt {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
-                IntegOp::PredSum {
-                    start,
-                    end,
-                    need,
-                    lt,
-                    acc,
-                } => {
-                    let sum: u64 = sh.integ_places[start as usize..end as usize]
-                        .iter()
-                        .map(|&p| self.marking.count_raw(p) as u64)
-                        .sum();
-                    if (sum >= need) != lt {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
-                IntegOp::Pred { prog, acc } => {
-                    let prog = sh.pred_progs[prog as usize]
-                        .as_ref()
-                        .expect("predicate reward has a compiled program");
-                    if prog.eval_bool(self.marking, self.guard_scratch) {
-                        self.acc_f[acc as usize] += dt;
-                    }
-                }
+        for r in &ig.pred_cnt {
+            if (self.marking.count_raw(r.place) >= r.need) != r.lt {
+                self.acc_f[r.acc as usize] += dt;
+            }
+        }
+        for r in &ig.pred_sum {
+            let sum: u64 = ig.sum_places[r.start as usize..r.end as usize]
+                .iter()
+                .map(|&p| self.marking.count_raw(p) as u64)
+                .sum();
+            if (sum >= r.need) != r.lt {
+                self.acc_f[r.acc as usize] += dt;
+            }
+        }
+        for &(prog, acc) in &ig.pred {
+            let prog = sh.pred_progs[prog as usize]
+                .as_ref()
+                .expect("predicate reward has a compiled program");
+            if prog.eval_bool(self.marking, self.guard_scratch) {
+                self.acc_f[acc as usize] += dt;
             }
         }
     }
@@ -822,32 +801,13 @@ impl<'x> Lane<'x> {
         loop {
             self.oracle_imm_index(sh);
             let len = self.imm_len as usize;
-            if len == 0 {
-                return Ok(());
-            }
-            self.candidates.clear();
-            let mut best_pri = 0u8;
-            for i in 0..len {
-                let tid = self.enabled_imm[i];
-                let pri = sh.cs.hot[tid as usize].priority;
-                if self.candidates.is_empty() || pri > best_pri {
-                    best_pri = pri;
-                    self.candidates.clear();
-                    self.candidates.push(tid);
-                } else if pri == best_pri {
-                    self.candidates.push(tid);
-                }
-            }
-            self.candidates.sort_unstable();
-            let chosen = if self.candidates.len() == 1 {
-                self.candidates[0]
-            } else {
-                self.weights.clear();
-                for i in 0..self.candidates.len() {
-                    self.weights
-                        .push(sh.cs.hot[self.candidates[i] as usize].weight);
-                }
-                self.candidates[self.rng.weighted_choice(&self.weights[..])]
+            let chosen = match len {
+                0 => return Ok(()),
+                // One enabled immediate is the sole candidate: no priority
+                // scan, no sort, and no draw (`weighted_choice` only runs
+                // with two or more candidates).
+                1 => self.enabled_imm[0],
+                _ => self.choose_immediate(sh, len),
             };
             let ti = chosen as usize;
             let (f0, f1, r1) = sh.sections(ti);
@@ -856,6 +816,34 @@ impl<'x> Lane<'x> {
             self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
             self.bump_zero(sh)?;
         }
+    }
+
+    /// Pick among `len >= 2` enabled immediates: the highest-priority ones
+    /// in definition order, then a weighted draw if more than one remains.
+    fn choose_immediate(&mut self, sh: &Shared<'_>, len: usize) -> u32 {
+        self.candidates.clear();
+        let mut best_pri = 0u8;
+        for i in 0..len {
+            let tid = self.enabled_imm[i];
+            let pri = sh.cs.hot[tid as usize].priority;
+            if self.candidates.is_empty() || pri > best_pri {
+                best_pri = pri;
+                self.candidates.clear();
+                self.candidates.push(tid);
+            } else if pri == best_pri {
+                self.candidates.push(tid);
+            }
+        }
+        if self.candidates.len() == 1 {
+            return self.candidates[0];
+        }
+        self.candidates.sort_unstable();
+        self.weights.clear();
+        for i in 0..self.candidates.len() {
+            self.weights
+                .push(sh.cs.hot[self.candidates[i] as usize].weight);
+        }
+        self.candidates[self.rng.weighted_choice(&self.weights[..])]
     }
 
     // ---- run lifecycle ----
@@ -1071,12 +1059,8 @@ impl<'e> LoweredEngine<'e> {
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
             integ: &self.lw.integ,
-            integ_places: &self.lw.integ_places,
+            integ_on: !self.lw.integ.is_empty(),
             slots: &self.lw.slots,
-            integ1: match self.lw.integ.as_slice() {
-                [IntegOp::Place { place, acc }] => Some((*place, *acc)),
-                _ => None,
-            },
             cs: self.cs,
             net: self.net,
             cfg: self.cfg,

@@ -286,6 +286,101 @@ fn lowered_differential_token_overflow_errors() {
     );
 }
 
+// --- the Figs. 4-9 CPU net and the immediate cascade ------------------------
+
+/// The Fig. 3 CPU net with `wsn::simulate_cpu_model`'s exact reward set:
+/// five place rewards (the four power states and the queue) and the
+/// wake-up and service firing counts. PUD and PDT each span the Figs. 4-9
+/// sweep's extremes and middle.
+#[test]
+fn lowered_differential_fig3_cpu_reward_set() {
+    for pud in [0.001, 0.3, 10.0] {
+        for pdt in [0.001, 0.5, 1.0] {
+            let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(pdt, pud));
+            let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(500.0));
+            let pl = &model.places;
+            for p in [pl.stand_by, pl.powering_up, pl.idle, pl.active, pl.buffer] {
+                sim.reward_place(p);
+            }
+            sim.reward_firings(model.transitions.t1);
+            sim.reward_firings(model.transitions.service);
+            assert!(sim.lowers_dense());
+            assert_lowered_identical(&sim, &format!("fig3 pud {pud} pdt {pdt}"));
+        }
+    }
+}
+
+/// The same net behind a warm-up window, with one reward of every
+/// integration kind: a place count, a single-count threshold, a
+/// sum-of-counts threshold, and a predicate left as a postfix program.
+/// Every kind must clip its first interval at the warm-up boundary exactly
+/// as the reference engine does.
+#[test]
+fn lowered_differential_fig3_cpu_warmup_predicates() {
+    let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(0.05, 0.3));
+    let pl = &model.places;
+    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(300.0).with_warmup(37.5));
+    sim.reward_place(pl.buffer);
+    sim.reward_predicate(Expr::count(pl.buffer).gt_c(1))
+        .unwrap();
+    sim.reward_predicate(Expr::count(pl.idle).add(Expr::count(pl.active)).gt_c(0))
+        .unwrap();
+    sim.reward_predicate(Expr::count(pl.buffer).eq_c(2))
+        .unwrap();
+    sim.reward_firings(model.transitions.service);
+    assert_lowered_identical(&sim, "fig3 warm-up predicates");
+}
+
+/// An immediate cascade that alternates its two kinds of step. Each
+/// arrival enables exactly the weighted pair `left`/`right` (a draw
+/// between two candidates); either one enables only `join` (a single
+/// candidate, no draw), which empties the cascade again. The firing counts
+/// prove both kinds of step ran: both sides of the draw won, and `join`
+/// fired once per draw.
+#[test]
+fn lowered_differential_cascade_alternates_single_and_weighted_steps() {
+    let mut b = NetBuilder::new("cascade");
+    let src = b.place("src").build();
+    let mid = b.place("mid").build();
+    let out = b.place("out").build();
+    let imm = |weight| Timing::Immediate {
+        priority: 1,
+        weight,
+    };
+    b.transition("arrive", Timing::exponential(2.0))
+        .output(src, 1)
+        .build();
+    let left = b
+        .transition("left", imm(1.0))
+        .input(src, 1)
+        .output(mid, 1)
+        .build();
+    let right = b
+        .transition("right", imm(3.0))
+        .input(src, 1)
+        .output(mid, 2)
+        .build();
+    let join = b
+        .transition("join", imm(1.0))
+        .input(mid, 1)
+        .output(out, 1)
+        .build();
+    b.transition("drain", Timing::exponential(5.0))
+        .input(out, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(200.0).with_trace(32));
+    sim.reward_place(out);
+    sim.reward_firings(join);
+    assert_lowered_identical(&sim, "cascade");
+    for seed in SEEDS {
+        let o = sim.run(seed).unwrap();
+        let n = |t: TransitionId| o.firing_counts[t.index()];
+        assert!(n(left) > 0 && n(right) > 0, "seed {seed}: a side never won");
+        assert_eq!(n(join), n(left) + 2 * n(right), "seed {seed}");
+    }
+}
+
 // --- colored-place splitting ----------------------------------------------
 
 /// The paper's node SCPNs (Fig. 12 closed at the fig14 defaults, Fig. 13
