@@ -573,16 +573,6 @@ pub(super) struct Integ {
     pub(super) pred: Vec<(u32, u32)>,
 }
 
-impl Integ {
-    /// No time-based reward registered.
-    pub(super) fn is_empty(&self) -> bool {
-        self.place.is_empty()
-            && self.pred_cnt.is_empty()
-            && self.pred_sum.is_empty()
-            && self.pred.is_empty()
-    }
-}
-
 /// How one registered reward is reported at finalize, mapping the
 /// [`super::rewards::RewardId`] order onto the dense accumulator stripes.
 #[derive(Debug, Clone, Copy)]

@@ -1059,7 +1059,7 @@ impl<'e> LoweredEngine<'e> {
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
             integ: &self.lw.integ,
-            integ_on: !self.lw.integ.is_empty(),
+            integ_on: self.lw.n_integ > 0,
             slots: &self.lw.slots,
             cs: self.cs,
             net: self.net,
