@@ -9,7 +9,10 @@
 //! defaults, open at the fig15 defaults, 900 s). One sweep per net:
 //! `lowered vs reference` — the lowered engine behind `Simulator::run`
 //! against the from-scratch reference engine it is tested against. Each
-//! row also gives the lowered engine's ns per firing.
+//! row also gives the lowered engine's ns per firing and `lower_us`, the
+//! median set-up cost of one simulator: `Simulator::new` with the row's
+//! rewards registered, plus building its lowered program. Work moved
+//! from the event loop into the lowering shows up there.
 //!
 //! A last, unpaired row times `des::simulate_cpu`, the ground truth each
 //! Figs. 4–9 slot runs beside the Fig. 3 net, at PUD 0.3 s, PDT 0.5 s and
@@ -74,9 +77,25 @@ fn time_block(sim: &Simulator<'_>, seed0: u64, runs: u64, engine: Engine) -> (f6
     (t0.elapsed().as_nanos() as f64 / runs as f64, firings)
 }
 
-/// One paired sweep: the lowered engine against the reference engine
-/// (speedup = reference / lowered).
-fn sweep(label: &str, sim: &Simulator<'_>, runs_per_block: u64, pairs: usize) {
+/// Median µs to make a simulator with `make` and lower it (the first
+/// `lowers_dense` call builds the lowered program), over 201 builds.
+fn lower_us<'n>(make: &impl Fn() -> Simulator<'n>) -> f64 {
+    let mut us: Vec<f64> = (0..201)
+        .map(|_| {
+            let t0 = Instant::now();
+            let sim = make();
+            std::hint::black_box(sim.lowers_dense());
+            t0.elapsed().as_nanos() as f64 / 1e3
+        })
+        .collect();
+    bench::ab::median(&mut us)
+}
+
+/// One paired sweep on the simulator `make` builds: the lowered engine
+/// against the reference engine (speedup = reference / lowered).
+fn sweep<'n>(label: &str, make: impl Fn() -> Simulator<'n>, runs_per_block: u64, pairs: usize) {
+    let lower_us = lower_us(&make);
+    let sim = &make();
     let block =
         |p: usize, engine| time_block(sim, (p as u64) * runs_per_block + 1, runs_per_block, engine);
     let stats = bench::ab::run_paired(
@@ -88,7 +107,7 @@ fn sweep(label: &str, sim: &Simulator<'_>, runs_per_block: u64, pairs: usize) {
         .map(|i| sim.run(i + 1).unwrap().total_firings())
         .sum();
     println!(
-        "{label:<20} lowered vs reference   base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x  lowered {:6.1} ns/event",
+        "{label:<20} lowered vs reference   base {:9.3} ms  new {:9.3} ms  median paired speedup {:5.2}x  lowered {:6.1} ns/event  lower_us {lower_us:7.1}",
         stats.b_ns / 1e6,
         stats.a_ns / 1e6,
         stats.speedup,
@@ -126,15 +145,15 @@ fn main() {
     println!("paired A/B, {pairs} pairs per net (median of adjacent-block ratios)");
 
     let net = mm1_net();
-    let sim = Simulator::new(&net, SimConfig::for_horizon(10_000.0));
-    sweep("mm1/10k_seconds", &sim, 3, pairs);
+    let make = || Simulator::new(&net, SimConfig::for_horizon(10_000.0));
+    sweep("mm1/10k_seconds", make, 3, pairs);
 
     for n in [4usize, 16, 64] {
         let net = tandem_net(n);
-        let sim = Simulator::new(&net, SimConfig::for_horizon(1000.0));
+        let make = || Simulator::new(&net, SimConfig::for_horizon(1000.0));
         sweep(
             &format!("tandem/{n}"),
-            &sim,
+            make,
             if n == 64 { 1 } else { 4 },
             pairs,
         );
@@ -143,14 +162,17 @@ fn main() {
     // The Fig. 3 CPU net with `simulate_cpu_model`'s rewards: the four
     // power-state places, the queue, and the wake-up and service counts.
     let model = wsn::build_cpu_model(&wsn::CpuModelParams::paper_defaults(0.1, 0.3));
-    let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(1000.0));
-    let pl = &model.places;
-    for p in [pl.stand_by, pl.powering_up, pl.idle, pl.active, pl.buffer] {
-        sim.reward_place(p);
-    }
-    sim.reward_firings(model.transitions.t1);
-    sim.reward_firings(model.transitions.service);
-    sweep("fig3_cpu_1000s", &sim, 6, pairs);
+    let make = || {
+        let mut sim = Simulator::new(&model.net, SimConfig::for_horizon(1000.0));
+        let pl = &model.places;
+        for p in [pl.stand_by, pl.powering_up, pl.idle, pl.active, pl.buffer] {
+            sim.reward_place(p);
+        }
+        sim.reward_firings(model.transitions.t1);
+        sim.reward_firings(model.transitions.service);
+        sim
+    };
+    sweep("fig3_cpu_1000s", make, 6, pairs);
 
     // The paper's node SCPN (Figs. 12/13) with its Fig. 14/15 rewards:
     // closed workload at the fig14 defaults, open at the fig15 defaults.
@@ -161,8 +183,12 @@ fn main() {
         let mut params = NodeSimParams::paper_defaults(workload, 0.1);
         params.horizon = 900.0;
         let model = wsn::build_node_model(&params);
-        let (sim, _) = wsn::node_simulator(&model, params.horizon);
-        sweep(label, &sim, 2, pairs);
+        sweep(
+            label,
+            || wsn::node_simulator(&model, params.horizon).0,
+            2,
+            pairs,
+        );
     }
 
     let mut params = CpuSimParams::paper_defaults(0.5, 0.3);

@@ -7,8 +7,9 @@
 //! * [`Simulator::run`] executes the **lowered engine**
 //!   ([`super::lowered`]): a per-net micro-op program built from
 //!   `CompiledSim` by [`super::lower`], with incrementally maintained
-//!   enabling counters, a lazily invalidated event heap (or a linear scan
-//!   on small nets) and exact reward integration between events.
+//!   enabling counters, a lazily invalidated event heap (or a scan of the
+//!   pending clocks on small nets) and exact reward integration between
+//!   events.
 //! * [`Simulator::run_reference`] executes the **reference engine**
 //!   ([`super::reference`]), the original non-incremental core kept
 //!   verbatim as an executable specification.

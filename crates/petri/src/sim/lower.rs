@@ -10,10 +10,22 @@
 //!
 //! * Each transition gets a **fire section** — SUB/ADD count ops (or one
 //!   generic-fire op for transitions that stay colored, see below)
-//!   followed by inline condition re-evaluation ops (count index,
-//!   threshold, and watching transition baked into the op stream; the
-//!   `cond_epoch` dedup machinery is replaced by a precomputed
-//!   first-touch-order row) and counter-reward hook ops.
+//!   followed by inline condition re-evaluation ops and counter-reward
+//!   hook ops. A count condition's op carries its count index, threshold,
+//!   truth slot and watcher (the one watcher, or a mark sending the flip
+//!   through the slot's watcher list); there is one per truth slot on
+//!   each count the firing moves. Compiled conditions come from a
+//!   precomputed first-touch row over the touched places, which replaces
+//!   the reference engine's `cond_epoch` dedup.
+//! * **Shared truth slots.** Every distinct count condition `(count index,
+//!   inverted, threshold)` gets one truth slot, however many transitions
+//!   test it (the node SCPN's `#Buffer == 0` is read by four guards), and
+//!   a watcher list of the transitions whose unsatisfied-condition counter
+//!   it feeds. A fire section re-evaluates each slot it can change once and
+//!   fans a flip out to every watcher. A transition that tests the same
+//!   term twice (an input arc and a guard term, say) is listed twice, so
+//!   its counter still counts two false conditions. Compiled conditions
+//!   (filters and guard programs on the colored path) keep one slot each.
 //! * Each transition gets a **recheck section** — one op per timed
 //!   transition whose clock may need attention after the firing, with the
 //!   *(memory policy × distribution kind)* pair monomorphized into the
@@ -414,10 +426,9 @@ fn lowerable(net: &Net, t: &crate::transition::Transition, domain: &[Option<Vec<
         })
 }
 
-/// Transition-count ceiling for the scan scheduler. Below it, the next
-/// event is found by scanning the run's contiguous `fire_at` array (at 32
-/// transitions the array is 256 bytes — four cache lines); above it, a
-/// lazy-deletion 4-ary heap takes over.
+/// Transition-count ceiling for the scan scheduler. Up to it, the next
+/// event is found by scanning the pending clocks, which a run keeps in one
+/// `u32` bit mask; above it, a lazy-deletion 4-ary heap takes over.
 pub(super) const SCAN_MAX_TRANSITIONS: usize = 32;
 
 // ---------------------------------------------------------------------------
@@ -440,22 +451,28 @@ pub(super) const HDR_GENERIC: u32 = 1 << 31;
 /// subtract.
 pub(super) const MOV_ADD: u32 = 1 << 31;
 /// Count-condition place word, bit 31: the condition is `count < need`
-/// instead of `count >= need`. Record layout: `[place|inv, need, ci, tid|flags]`.
+/// instead of `count >= need`. Record layout: `[place|inv, need, slot,
+/// watcher]`, `watcher` being the slot's one watcher word, or
+/// [`MANY_WATCHERS`].
 pub(super) const CNT_INV: u32 = 1 << 31;
+/// Watcher word of a count record whose slot has several watchers: they
+/// are listed in [`LoweredNet::watch`] from `watch_off[slot]` to
+/// `watch_off[slot + 1]`.
+pub(super) const MANY_WATCHERS: u32 = 1 << 30;
 
 // Tail ops: opcode in the low 8 bits, a 24-bit argument in the high bits,
 // trailing immediate words with length implied by the opcode.
 
 /// Tail: bump counter accumulator `arg` if past warm-up.
 pub(super) const OP_HOOK: u32 = 0;
-/// Tail: filtered input condition `arg`: `count_matching(word2,
-/// filters[word1]) >= word3`; `word4` = tid|flags.
+/// Tail: filtered input condition in slot `arg`: `count_matching(word2,
+/// filters[word1]) >= word3`; `word4` = tid|flags of its one watcher.
 pub(super) const OP_C_FGE: u32 = 1;
 /// Tail: filtered inhibitor condition (same layout as [`OP_C_FGE`],
 /// comparison inverted).
 pub(super) const OP_C_FLT: u32 = 2;
-/// Tail: guard condition `arg` evaluated via compiled program `word1`;
-/// `word2` = tid|flags.
+/// Tail: guard condition in slot `arg` evaluated via compiled program
+/// `word1`; `word2` = tid|flags of its one watcher.
 pub(super) const OP_C_GUARD: u32 = 3;
 /// Tail: order record of split place `arg` — remove the oldest `word2`
 /// tokens of color `word1` from its bag (counts already moved).
@@ -497,8 +514,8 @@ pub(super) const OP_RS_UNI: u32 = 19;
 /// Resample × Erlang.
 pub(super) const OP_RS_ERL: u32 = 20;
 
-/// Bit 31 of a condition op's tid word: the watched transition is
-/// immediate (flips maintain the enabled-immediates index).
+/// Bit 31 of a watcher (tid) word: the watching transition is immediate
+/// (flips maintain the enabled-immediates index).
 pub(super) const TID_IMMEDIATE: u32 = 1 << 31;
 
 /// Fixed width of one recheck record (op word + up to two f64 parameters),
@@ -628,10 +645,18 @@ pub(crate) struct LoweredNet {
     /// carries the slow paths.
     pub(super) colored: bool,
     /// The lowered enabling conditions, `(watching transition, initial
-    /// evaluation)`, indexed like the lane's `cond_true` stripe. A
-    /// conjunctive guard contributes one per conjunct, so this can be
-    /// longer than the compiled condition table.
-    pub(super) conds: Vec<(u32, CondInit)>,
+    /// evaluation, truth slot)`. A conjunctive guard contributes one per
+    /// conjunct, so this can be longer than the compiled condition table;
+    /// conditions with the same count threshold share a slot.
+    pub(super) conds: Vec<(u32, CondInit, u32)>,
+    /// Number of truth slots (the length of a lane's `cond_true` stripe).
+    pub(super) n_slots: usize,
+    /// Watcher lists of the count-condition slots: slot `k`'s `tid |
+    /// TID_IMMEDIATE` words are `watch[watch_off[k]..watch_off[k + 1]]`
+    /// (empty for a compiled slot, whose tail op names its one watcher).
+    pub(super) watch: Vec<u32>,
+    /// Offsets of the watcher lists in `watch`, `n_slots + 1` of them.
+    pub(super) watch_off: Vec<u32>,
     /// Hidden count slots appended to every lane's marking: slot `k` (raw
     /// index `num_places + k`) counts color `.1` in split place `.0`.
     pub(super) slots: Vec<(u32, Color)>,
@@ -715,7 +740,7 @@ impl LoweredNet {
         // --- lowered conditions: one per compiled condition, except that a
         // conjunctive guard splits into one threshold per conjunct ---
         let mut colored = false;
-        let mut conds: Vec<(u32, CondInit)> = Vec::with_capacity(nc);
+        let mut conds: Vec<(u32, CondInit, u32)> = Vec::with_capacity(nc);
         let mut lcond_of: Vec<(u32, u32)> = Vec::with_capacity(nc);
         let mut terms: Vec<(u32, bool, u32)> = Vec::new();
         for (ci, cond) in cs.conds.iter().enumerate() {
@@ -726,8 +751,8 @@ impl LoweredNet {
                 need: cond.need,
             };
             match cond.kind {
-                COND_INPUT_ANY => conds.push((cond.tid, count(cond.place, false))),
-                COND_INHIB_ANY => conds.push((cond.tid, count(cond.place, true))),
+                COND_INPUT_ANY => conds.push((cond.tid, count(cond.place, false), 0)),
+                COND_INHIB_ANY => conds.push((cond.tid, count(cond.place, true), 0)),
                 COND_INPUT_FILTERED | COND_INHIB_FILTERED => {
                     let lt = cond.kind == COND_INHIB_FILTERED;
                     let filter = &cs.filters[cond.aux as usize];
@@ -738,7 +763,7 @@ impl LoweredNet {
                             CondInit::Compiled(ci as u32)
                         }
                     };
-                    conds.push((cond.tid, init));
+                    conds.push((cond.tid, init, 0));
                 }
                 COND_GUARD => {
                     let guard = net.transitions()[cond.tid as usize]
@@ -748,11 +773,11 @@ impl LoweredNet {
                     terms.clear();
                     if split.guard_terms(net, guard, &mut terms) {
                         for &(index, lt, need) in &terms {
-                            conds.push((cond.tid, CondInit::Count { index, lt, need }));
+                            conds.push((cond.tid, CondInit::Count { index, lt, need }, 0));
                         }
                     } else {
                         colored = true;
-                        conds.push((cond.tid, CondInit::Compiled(ci as u32)));
+                        conds.push((cond.tid, CondInit::Compiled(ci as u32), 0));
                     }
                 }
                 _ => unreachable!("invalid condition kind"),
@@ -763,13 +788,24 @@ impl LoweredNet {
             conds.len() < (1 << 24),
             "condition index must fit a 24-bit op arg"
         );
+        assert!(
+            nt < MANY_WATCHERS as usize,
+            "a watcher word must not collide with MANY_WATCHERS"
+        );
+        let truth = TruthSlots::assign(&mut conds, cs, np + split.slots.len());
+        let any_compiled = conds.iter().any(|c| matches!(c.1, CondInit::Compiled(_)));
 
         // --- per-transition fire + recheck sections ---
-        let mut ops: Vec<u32> = Vec::new();
+        // Room for every recheck record and a typical fire section, so the
+        // arena seldom regrows while it is laid out.
+        let rechecks: usize = (0..nt).map(|ti| cs.recheck_timed.row(ti).len()).sum();
+        let mut ops: Vec<u32> =
+            Vec::with_capacity(RECHECK_STRIDE * rechecks + 8 * nt + 4 * conds.len());
         let mut sec: Vec<u32> = Vec::with_capacity(2 * nt + 1);
         sec.push(0);
-        let mut seen = vec![false; nc];
+        let mut seen = vec![false; if any_compiled { nc } else { 0 }];
         let mut trow: Vec<u32> = Vec::new();
+        let mut moved: Vec<u32> = Vec::new();
         let mut tail: Vec<u32> = Vec::new();
         for (ti, t) in net.transitions().iter().enumerate() {
             // Header slot (counts patched once the section is laid out).
@@ -784,95 +820,96 @@ impl LoweredNet {
             // Order-record ops open the tail: guard programs read colors
             // through the bags.
             tail.clear();
+            // The counts the firing changes: each move's count index, or
+            // the touched places' totals for a generic fire (a place a
+            // generic transition touches is never split).
+            moved.clear();
             if lowerable(net, t, &split.domain) {
                 for a in &t.inputs {
                     let p = a.place.index() as u32;
                     ops.extend([p, a.multiplicity]);
-                    n_mov += 1;
+                    moved.push(p);
                     if let Some(d) = split.domain(p) {
                         let c =
                             withdrawn_color(d, &a.filter).expect("split places withdraw one color");
-                        ops.extend([split.slot(p, c), a.multiplicity]);
-                        n_mov += 1;
+                        let k = split.slot(p, c);
+                        ops.extend([k, a.multiplicity]);
+                        moved.push(k);
                         tail.extend([OP_BAG_TAKE | p << 8, c.0, a.multiplicity]);
                     }
                 }
                 for a in &t.outputs {
                     let p = a.place.index() as u32;
                     ops.extend([p | MOV_ADD, a.multiplicity]);
-                    n_mov += 1;
+                    moved.push(p);
                     if split.domain(p).is_some() {
                         let ColorExpr::Const(c) = a.color else {
                             unreachable!("split places only take constant colors")
                         };
-                        ops.extend([split.slot(p, c) | MOV_ADD, a.multiplicity]);
-                        n_mov += 1;
+                        let k = split.slot(p, c);
+                        ops.extend([k | MOV_ADD, a.multiplicity]);
+                        moved.push(k);
                         tail.extend([OP_BAG_PUT | p << 8, c.0, a.multiplicity]);
                     }
                 }
+                n_mov = moved.len() as u32;
             } else {
                 colored = true;
                 hdr |= HDR_GENERIC;
                 ops.push(ti as u32);
+                moved.extend_from_slice(cs.touched.row(ti));
             }
             assert!(n_mov < (1 << 16), "token moves must fit the header");
-            // Conditions whose truth can change when `ti` fires, from the
-            // precomputed first-touch row (all token moves complete before
-            // any condition re-evaluation, so the flat row is equivalent
-            // to the per-place walk + epoch dedup; conditions never draw
-            // RNG and their flips commute, so splitting them into the
-            // count segment + dispatched tail preserves bit-identity).
-            trow.clear();
-            for &p in cs.touched.row(ti) {
-                for &ci in cs.place_conds.row(p as usize) {
-                    if !seen[ci as usize] {
-                        seen[ci as usize] = true;
-                        trow.push(ci);
-                    }
-                }
-            }
-            for &ci in &trow {
-                seen[ci as usize] = false;
-            }
+            // Count records: one per truth slot on each changed count, so
+            // each slot is re-evaluated once and a flip reaches every
+            // watcher. All token moves complete before any condition is
+            // re-evaluated, and conditions never draw RNG and their flips
+            // commute, so neither the record order nor the split into the
+            // count segment and the dispatched tail changes the outputs.
             let mut n_cnt = 0u32;
-            for &ci in &trow {
-                let (l0, l1) = lcond_of[ci as usize];
-                for li in l0..l1 {
-                    let (tid, init) = conds[li as usize];
-                    let mut tf = tid;
-                    if cs.hot[tid as usize].kind == TimingKind::Immediate {
-                        tf |= TID_IMMEDIATE;
-                    }
-                    match init {
-                        CondInit::Count { index, lt, need } => {
-                            ops.extend([index | if lt { CNT_INV } else { 0 }, need, li, tf]);
-                            n_cnt += 1;
-                        }
-                        CondInit::Compiled(ci) => {
-                            let cond = &cs.conds[ci as usize];
-                            match cond.kind {
-                                COND_INPUT_FILTERED => tail.extend([
-                                    OP_C_FGE | li << 8,
-                                    cond.aux,
-                                    cond.place,
-                                    cond.need,
-                                    tf,
-                                ]),
-                                COND_INHIB_FILTERED => tail.extend([
-                                    OP_C_FLT | li << 8,
-                                    cond.aux,
-                                    cond.place,
-                                    cond.need,
-                                    tf,
-                                ]),
-                                COND_GUARD => tail.extend([OP_C_GUARD | li << 8, cond.aux, tf]),
-                                _ => unreachable!("count conditions always lower to records"),
-                            }
-                        }
-                    }
+            for (i, &x) in moved.iter().enumerate() {
+                if !moved[..i].contains(&x) {
+                    n_cnt += truth.emit_records(x, &mut ops);
                 }
             }
             assert!(n_cnt < (1 << 15), "count conditions must fit the header");
+            // Compiled conditions a touched place feeds, as tail ops, from
+            // the first-touch row (the per-place walk + epoch dedup of the
+            // reference engine, flattened).
+            trow.clear();
+            if any_compiled {
+                for &p in cs.touched.row(ti) {
+                    for &ci in cs.place_conds.row(p as usize) {
+                        if !seen[ci as usize] {
+                            seen[ci as usize] = true;
+                            trow.push(ci);
+                        }
+                    }
+                }
+                for &ci in &trow {
+                    seen[ci as usize] = false;
+                }
+            }
+            for &ci in &trow {
+                let (l0, l1) = lcond_of[ci as usize];
+                for &(tid, init, slot) in &conds[l0 as usize..l1 as usize] {
+                    let CondInit::Compiled(ci) = init else {
+                        continue;
+                    };
+                    let cond = &cs.conds[ci as usize];
+                    let tf = watcher_word(cs, tid);
+                    match cond.kind {
+                        COND_INPUT_FILTERED => {
+                            tail.extend([OP_C_FGE | slot << 8, cond.aux, cond.place, cond.need, tf])
+                        }
+                        COND_INHIB_FILTERED => {
+                            tail.extend([OP_C_FLT | slot << 8, cond.aux, cond.place, cond.need, tf])
+                        }
+                        COND_GUARD => tail.extend([OP_C_GUARD | slot << 8, cond.aux, tf]),
+                        _ => unreachable!("count conditions always lower to records"),
+                    }
+                }
+            }
             ops.extend_from_slice(&tail);
             // Counter-reward hooks (post-warmup increments).
             for &ri in &sim.firing_hooks[ti] {
@@ -909,6 +946,9 @@ impl LoweredNet {
             scan: nt <= SCAN_MAX_TRANSITIONS,
             colored,
             conds,
+            n_slots: truth.key.len(),
+            watch: truth.watch,
+            watch_off: truth.watch_off,
             slots: split.slots,
             integ,
             n_integ: n_integ as usize,
@@ -926,6 +966,118 @@ impl LoweredNet {
             m.push_hidden(n);
         }
         m
+    }
+}
+
+/// The watcher word of transition `tid`: its index, flagged when it is
+/// immediate.
+fn watcher_word(cs: &CompiledSim, tid: u32) -> u32 {
+    if cs.hot[tid as usize].kind == TimingKind::Immediate {
+        tid | TID_IMMEDIATE
+    } else {
+        tid
+    }
+}
+
+/// The truth slots of the lowered conditions: one per distinct count
+/// condition `(count index, inverted, threshold)`, one per compiled
+/// condition.
+struct TruthSlots {
+    /// Per slot: `(inverted, threshold, previous slot on the same count)`;
+    /// a compiled slot reads no count.
+    key: Vec<(bool, u32, u32)>,
+    /// `last[index]`: the newest slot on count `index` (the head of the
+    /// chain of its slots).
+    last: Vec<u32>,
+    /// Watcher lists, each count slot's `tid | TID_IMMEDIATE` words in
+    /// condition order (see [`LoweredNet::watch`]).
+    watch: Vec<u32>,
+    /// Slot `k`'s watchers are `watch[watch_off[k]..watch_off[k + 1]]`.
+    watch_off: Vec<u32>,
+}
+
+/// End of a [`TruthSlots`] chain.
+const NO_SLOT: u32 = u32::MAX;
+
+impl TruthSlots {
+    /// Give every distinct count condition one slot and every compiled
+    /// condition a slot of its own, writing the slot into `conds`. Slots
+    /// are numbered in order of first appearance; finding a key walks only
+    /// the chain of thresholds on its own count (no hashing, no sort).
+    fn assign(conds: &mut [(u32, CondInit, u32)], cs: &CompiledSim, n_counts: usize) -> Self {
+        let mut last = vec![NO_SLOT; n_counts];
+        let mut key: Vec<(bool, u32, u32)> = Vec::with_capacity(conds.len());
+        for c in conds.iter_mut() {
+            let CondInit::Count { index, lt, need } = c.1 else {
+                c.2 = key.len() as u32;
+                key.push((false, 0, NO_SLOT));
+                continue;
+            };
+            let mut k = last[index as usize];
+            while k != NO_SLOT {
+                let (klt, kneed, prev) = key[k as usize];
+                if (klt, kneed) == (lt, need) {
+                    break;
+                }
+                k = prev;
+            }
+            if k == NO_SLOT {
+                k = key.len() as u32;
+                key.push((lt, need, last[index as usize]));
+                last[index as usize] = k;
+            }
+            c.2 = k;
+        }
+        // Counting sort of the watchers by slot: count into `watch_off[k]`,
+        // turn the counts into list ends, then fill back to front so each
+        // `watch_off[k]` ends at its list's start.
+        let mut watch_off = vec![0u32; key.len() + 1];
+        for c in conds.iter() {
+            if let CondInit::Count { .. } = c.1 {
+                watch_off[c.2 as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for off in watch_off.iter_mut() {
+            end += *off;
+            *off = end;
+        }
+        let mut watch = vec![0; end as usize];
+        for c in conds.iter().rev() {
+            if let CondInit::Count { .. } = c.1 {
+                let off = &mut watch_off[c.2 as usize];
+                *off -= 1;
+                watch[*off as usize] = watcher_word(cs, c.0);
+            }
+        }
+        TruthSlots {
+            key,
+            last,
+            watch,
+            watch_off,
+        }
+    }
+
+    /// Append one count record per slot on count `index` to `ops`,
+    /// returning how many. A hidden slot opened while the moves are laid
+    /// out lies past `last` and has no condition.
+    fn emit_records(&self, index: u32, ops: &mut Vec<u32>) -> u32 {
+        let mut n = 0;
+        let mut k = self.last.get(index as usize).copied().unwrap_or(NO_SLOT);
+        while k != NO_SLOT {
+            let (lt, need, prev) = self.key[k as usize];
+            let pw = index | if lt { CNT_INV } else { 0 };
+            let (a, b) = (self.watch_off[k as usize], self.watch_off[k as usize + 1]);
+            let tf = if b - a == 1 {
+                self.watch[a as usize]
+            } else {
+                MANY_WATCHERS
+            };
+            ops.extend([pw, need, k, tf]);
+            n += 1;
+            k = prev;
+        }
+        n
     }
 }
 
@@ -1133,6 +1285,158 @@ mod tests {
         ));
         assert!(lw.integ.place.is_empty() && lw.integ.pred_cnt.is_empty());
         assert!(lw.integ.pred.is_empty());
+    }
+
+    /// The count records of transition `ti`'s fire section, as `[place |
+    /// inv, need, slot, watcher]` chunks.
+    fn count_records(lw: &LoweredNet, ti: usize) -> Vec<[u32; 4]> {
+        let ops = &lw.ops[lw.sec[2 * ti] as usize..lw.sec[2 * ti + 1] as usize];
+        let n_mov = (ops[0] & 0xffff) as usize;
+        let n_cnt = ((ops[0] >> 16) & 0x7fff) as usize;
+        let start = 1 + usize::from(ops[0] & HDR_GENERIC != 0) + 2 * n_mov;
+        ops[start..start + 4 * n_cnt]
+            .chunks_exact(4)
+            .map(|r| [r[0], r[1], r[2], r[3]])
+            .collect()
+    }
+
+    /// The CPU half of the node SCPN (Fig. 12, `wsn::node`): Table XI's
+    /// stage guards `#Buffer == 0 && #Cpu_Idle > 0` on T17, T19 and
+    /// Wait_Begin, and the CPU's own `#Buffer > 0` / `#Buffer == 0`
+    /// guards. `#Buffer == 0` is one slot with four watchers and
+    /// `#Cpu_Idle > 0` one with five (three guard terms and two input
+    /// arcs), and no fire section re-evaluates a slot twice.
+    #[test]
+    fn node_net_conditions_share_truth_slots() {
+        let mut b = NetBuilder::new("node-cpu");
+        let rx_handle = b.place("Rx_Handle").build();
+        let comp_handle = b.place("Comp_Handle").build();
+        let tx_start = b.place("Tx_Start").build();
+        let tx_handle = b.place("Tx_Handle").build();
+        let wait = b.place("Wait").tokens(1).build();
+        let buffer = b.place("Buffer").build();
+        let sleep = b.place("Cpu_Sleep").tokens(1).build();
+        let wake = b.place("Cpu_Wake").build();
+        let idle = b.place("Cpu_Idle").build();
+        let active = b.place("Cpu_Active").build();
+        let cpu_done = || Expr::count(buffer).eq_c(0).and(Expr::count(idle).gt_c(0));
+        b.transition("T0", Timing::deterministic(1.0))
+            .input(wait, 1)
+            .output(rx_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(Color(3)))
+            .build();
+        let t17 = b
+            .transition("T17", Timing::immediate_pri(1))
+            .input(rx_handle, 1)
+            .output(comp_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(Color(4)))
+            .guard(cpu_done())
+            .build();
+        let t19 = b
+            .transition("T19", Timing::immediate_pri(1))
+            .input(comp_handle, 1)
+            .output(tx_start, 1)
+            .guard(cpu_done())
+            .build();
+        b.transition("Tx", Timing::deterministic(0.1))
+            .input(tx_start, 1)
+            .output(tx_handle, 1)
+            .output_colored(buffer, 1, ColorExpr::Const(Color(3)))
+            .build();
+        let wait_begin = b
+            .transition("Wait_Begin", Timing::immediate_pri(1))
+            .input(tx_handle, 1)
+            .output(wait, 1)
+            .guard(cpu_done())
+            .build();
+        b.transition("Cpu_T1", Timing::immediate_pri(4))
+            .input(sleep, 1)
+            .output(wake, 1)
+            .guard(Expr::count(buffer).gt_c(0))
+            .build();
+        b.transition("Power_Up_Delay", Timing::deterministic(0.3))
+            .input(wake, 1)
+            .output(idle, 1)
+            .build();
+        let t5 = b
+            .transition("Cpu_T5", Timing::immediate_pri(2))
+            .input(idle, 1)
+            .output(active, 1)
+            .guard(Expr::count(buffer).gt_c(0))
+            .build();
+        let t6 = b
+            .transition("Cpu_T6", Timing::immediate_pri(3))
+            .input(active, 1)
+            .output(idle, 1)
+            .guard(Expr::count(buffer).eq_c(0))
+            .build();
+        for level in [3, 4] {
+            b.transition(format!("DVS_{level}"), Timing::deterministic(0.01))
+                .input(active, 1)
+                .input_filtered(buffer, 1, ColorFilter::Eq(Color(level)))
+                .output(active, 1)
+                .build();
+        }
+        let pdt = b
+            .transition("Power_Down_Threshold", Timing::deterministic(0.1))
+            .input(idle, 1)
+            .output(sleep, 1)
+            .build();
+        let net = b.build().unwrap();
+        let lw = lowered(&net, &[]);
+        assert!(!lw.colored);
+        // The slot every condition `(index, lt, need)` maps to, and the
+        // watcher list of a slot whose fire records name several.
+        let slot_of = |index: u32, lt: bool, need: u32| -> u32 {
+            let slots: Vec<u32> = lw
+                .conds
+                .iter()
+                .filter(|c| matches!(c.1, CondInit::Count { index: i, lt: l, need: n } if (i, l, n) == (index, lt, need)))
+                .map(|c| c.2)
+                .collect();
+            assert!(
+                slots.windows(2).all(|w| w[0] == w[1]),
+                "key split over slots"
+            );
+            slots[0]
+        };
+        let watchers = |slot: u32| -> Vec<u32> {
+            let rec = (0..net.num_transitions())
+                .flat_map(|ti| count_records(&lw, ti))
+                .find(|r| r[2] == slot)
+                .expect("some fire section re-evaluates the slot");
+            assert_eq!(rec[3], MANY_WATCHERS);
+            let (a, b) = (lw.watch_off[slot as usize], lw.watch_off[slot as usize + 1]);
+            let mut tids: Vec<u32> = lw.watch[a as usize..b as usize]
+                .iter()
+                .map(|&w| w & !TID_IMMEDIATE)
+                .collect();
+            tids.sort_unstable();
+            tids
+        };
+        let buffer_empty = slot_of(buffer.0, true, 1);
+        assert_eq!(watchers(buffer_empty), [t17.0, t19.0, wait_begin.0, t6.0]);
+        let idle_ready = slot_of(idle.0, false, 1);
+        assert_eq!(
+            watchers(idle_ready),
+            [t17.0, t19.0, wait_begin.0, t5.0, pdt.0]
+        );
+        // `#Buffer > 0` is the negation of `#Buffer == 0`, not the same key.
+        assert_ne!(slot_of(buffer.0, false, 1), buffer_empty);
+        for ti in 0..net.num_transitions() {
+            let mut slots: Vec<u32> = count_records(&lw, ti).iter().map(|r| r[2]).collect();
+            let n = slots.len();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(
+                slots.len(),
+                n,
+                "{} re-evaluates a slot twice",
+                net.transitions()[ti].name
+            );
+        }
+        // Firing T0 moves Buffer, so it re-evaluates `#Buffer == 0`.
+        assert!(count_records(&lw, 0).iter().any(|r| r[2] == buffer_empty));
     }
 
     #[test]

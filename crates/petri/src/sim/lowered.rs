@@ -16,6 +16,19 @@
 //!   [`super::lower`]) run in the dense `GEN = false` variant: their moves
 //!   are count moves plus an order-record tail op, and the marking carries
 //!   the hidden slots until `LoweredEngine::finalize` strips them.
+//! * **Pending clocks only.** The scan scheduler (nets of up to
+//!   `SCAN_MAX_TRANSITIONS` transitions) keeps a bit mask of the
+//!   transitions with a pending clock: `schedule` sets a bit, `cancel` and
+//!   the firing that consumes a clock clear it, and a Resample redraw
+//!   rewrites the clock in place. [`Lane::next_event`] walks only the set
+//!   bits, lowest tid first, so a strict `<` keeps exact ties in tid
+//!   order.
+//! * **Shared truth slots.** `cond_true` holds one bit per truth slot, not
+//!   per watching transition: a count record re-evaluates the slot once
+//!   and applies a flip to its one watcher, named in the record, or to
+//!   every entry of the slot's watcher list, adjusting each watcher's
+//!   unsatisfied-condition counter (a watcher listed twice is adjusted
+//!   twice).
 //!
 //! # Determinism
 //!
@@ -26,17 +39,19 @@
 //! `Simulator::run_reference` — `tests/lowered_differential.rs` and the CI repro
 //! byte-comparison prove it, and debug builds additionally shadow the
 //! first run per simulator with the reference engine plus cross-check the
-//! incremental enabling state against full rescans on every visited
-//! transition.
+//! incremental state against full rescans: the enabling state of every
+//! visited transition, every truth slot after each fire section, and the
+//! pending mask and its minimum against a scan of the whole `fire_at`
+//! stripe.
 
 use super::engine::{
     effective_token_limit, CompiledSim, SimConfig, SimOutput, Simulator, TimingKind,
 };
 use super::lower::{
-    dec_f64, CondInit, Integ, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MOV_ADD, OP_BAG_PUT,
-    OP_BAG_TAKE, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET, OP_RA_ERL, OP_RA_EXP,
-    OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET, OP_RS_ERL, OP_RS_EXP,
-    OP_RS_UNI, RECHECK_STRIDE, TID_IMMEDIATE,
+    dec_f64, CondInit, Integ, LoweredNet, LoweredReward, CNT_INV, HDR_GENERIC, MANY_WATCHERS,
+    MOV_ADD, OP_BAG_PUT, OP_BAG_TAKE, OP_C_FGE, OP_C_FLT, OP_C_GUARD, OP_HOOK, OP_RA_DET,
+    OP_RA_ERL, OP_RA_EXP, OP_RA_UNI, OP_RE_DET, OP_RE_ERL, OP_RE_EXP, OP_RE_UNI, OP_RS_DET,
+    OP_RS_ERL, OP_RS_EXP, OP_RS_UNI, RECHECK_STRIDE, SCAN_MAX_TRANSITIONS, TID_IMMEDIATE,
 };
 use super::trace::TraceBuffer;
 use crate::error::SimError;
@@ -62,11 +77,14 @@ pub(super) fn run_single(sim: &Simulator<'_>, seed: u64) -> Result<SimOutput, Si
 /// `imm_pos` entry of a transition not in the enabled-immediates index.
 const NOT_QUEUED: u32 = u32::MAX;
 
+// The scan scheduler keeps its pending clocks in one `u32` bit mask.
+const _: () = assert!(SCAN_MAX_TRANSITIONS <= u32::BITS as usize);
+
 // Per-transition scheduling state byte: lets the post-firing re-check loop
 // skip settled transitions on a single byte compare.
 /// Transition is enabled (unsatisfied-condition counter is zero).
 const ST_ENABLED: u8 = 0b001;
-/// Transition has a pending event in the heap.
+/// Transition has a pending clock (in the pending mask or the heap).
 const ST_SCHEDULED: u8 = 0b010;
 /// Transition has the Resample memory policy (static).
 const ST_RESAMPLE: u8 = 0b100;
@@ -156,6 +174,12 @@ struct Shared<'x> {
     sec: &'x [u32],
     /// Startup recheck program.
     init_ops: &'x [u32],
+    /// Watcher lists of the count-condition truth slots and their offsets.
+    watch: &'x [u32],
+    watch_off: &'x [u32],
+    /// The lowered conditions and their slots (debug oracle only).
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    conds: &'x [(u32, CondInit, u32)],
     /// Reward integration program, one array per reward kind.
     integ: &'x Integ,
     /// Some time-based reward is registered.
@@ -194,6 +218,9 @@ struct Lane<'x> {
     now: f64,
     zero: u64,
     imm_len: u32,
+    /// Scan scheduler: bit `t` is set while transition `t` has a pending
+    /// clock (unused on the heap scheduler).
+    pending: u32,
     marking: &'x mut Marking,
     heap: &'x mut Vec<HeapEntry>,
     fire_at: &'x mut [f64],
@@ -255,10 +282,20 @@ impl<'x> Lane<'x> {
     #[inline(always)]
     fn oracle_imm_index(&self, _sh: &Shared<'_>) {}
 
-    /// Every hidden slot equals its color's count in the split place's
-    /// order record, and every split total equals the record's length.
+    /// After a fire section: every truth slot equals a fresh evaluation
+    /// of each condition sharing it, every hidden slot equals its color's
+    /// count in the split place's order record, and every split total
+    /// equals the record's length.
     #[cfg(debug_assertions)]
-    fn oracle_split(&self, sh: &Shared<'_>) {
+    fn oracle_fired(&mut self, sh: &Shared<'_>) {
+        for &(tid, init, slot) in sh.conds {
+            debug_assert_eq!(
+                self.cond_true[slot as usize],
+                eval_init(sh.cs, self.marking, self.guard_scratch, init),
+                "truth slot {slot} ({init:?}, watched by {:?}) out of step",
+                sh.net.transition(TransitionId(tid)).name
+            );
+        }
         let np = self.marking.num_places() as u32;
         for (k, &(p, c)) in sh.slots.iter().enumerate() {
             let pid = PlaceId(p);
@@ -273,7 +310,39 @@ impl<'x> Lane<'x> {
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    fn oracle_split(&self, _sh: &Shared<'_>) {}
+    fn oracle_fired(&mut self, _sh: &Shared<'_>) {}
+
+    /// The pending mask holds exactly the transitions whose `ST_SCHEDULED`
+    /// bit is set, and its `(fire_at, tid)` minimum `next` is the one a
+    /// scan of the whole `fire_at` stripe finds (unscheduled clocks hold
+    /// +inf there).
+    #[cfg(debug_assertions)]
+    fn oracle_pending(&self, next: (f64, u32)) {
+        for (ti, &s) in self.sched_state.iter().enumerate() {
+            debug_assert_eq!(
+                self.pending >> ti & 1 != 0,
+                s & ST_SCHEDULED != 0,
+                "pending mask diverged from the scheduled bit of transition {ti}"
+            );
+        }
+        let mut best = (f64::INFINITY, 0u32);
+        for (ti, &at) in self.fire_at.iter().enumerate() {
+            if at < best.0 {
+                best = (at, ti as u32);
+            }
+        }
+        debug_assert_eq!(
+            next.0, best.0,
+            "pending-clock minimum diverged from the stripe"
+        );
+        if best.0 < f64::INFINITY {
+            debug_assert_eq!(next.1, best.1, "pending-clock tie order diverged");
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    fn oracle_pending(&self, _next: (f64, u32)) {}
 
     // ---- enabled-immediates index ----
 
@@ -327,11 +396,16 @@ impl<'x> Lane<'x> {
 
     // ---- scheduling ----
 
+    /// Arm `ti`'s clock; it must not be pending already (a Resample
+    /// redraw on the scan scheduler rewrites `fire_at` in place instead).
     #[inline(always)]
     fn schedule<const SCAN: bool>(&mut self, ti: usize, at: f64) {
+        debug_assert_eq!(self.sched_state[ti] & ST_SCHEDULED, 0);
         self.fire_at[ti] = at;
         self.sched_state[ti] |= ST_SCHEDULED;
-        if !SCAN {
+        if SCAN {
+            self.pending |= 1 << ti;
+        } else {
             self.gen[ti] += 1;
             let e = HeapEntry {
                 time: at,
@@ -342,10 +416,14 @@ impl<'x> Lane<'x> {
         }
     }
 
+    /// Disarm `ti`'s pending clock (cancelled, or consumed by firing),
+    /// returning the time it was due.
     #[inline(always)]
     fn cancel<const SCAN: bool>(&mut self, ti: usize) -> f64 {
         debug_assert_ne!(self.sched_state[ti] & ST_SCHEDULED, 0);
-        if !SCAN {
+        if SCAN {
+            self.pending &= !(1 << ti);
+        } else {
             self.gen[ti] += 1;
         }
         self.sched_state[ti] &= !ST_SCHEDULED;
@@ -354,25 +432,31 @@ impl<'x> Lane<'x> {
         at
     }
 
-    /// Next event: scan the stripe (small nets) or surface the next valid
-    /// heap entry (stale entries die here). Neither consumes the event.
+    /// Next event: scan the pending clocks (small nets) or surface the
+    /// next valid heap entry (stale entries die here). Neither consumes
+    /// the event.
     #[inline(always)]
     fn next_event<const SCAN: bool>(&mut self) -> Option<(f64, u32)> {
         if SCAN {
-            // Unscheduled clocks hold +inf, so the scan needs no sentinel
-            // test — one plain `<` per slot. Strict `<` keeps the lowest
+            // Only the few pending clocks are read, walking the mask's set
+            // bits in ascending tid order: strict `<` then keeps the lowest
             // tid on ties, matching the heap's `(time, tid)` order (no
             // reachable schedule time is NaN or -0.0, so `<` agrees with
-            // `total_cmp` here). An all-idle run surfaces `(inf, 0)`,
-            // which the caller's `time < end` guard retires.
+            // `total_cmp` here). An idle run surfaces `(inf, 0)`, which the
+            // caller's `time < end` guard retires.
             let mut best_t = f64::INFINITY;
             let mut best_ti = 0u32;
-            for (ti, &at) in self.fire_at.iter().enumerate() {
+            let mut bits = self.pending;
+            while bits != 0 {
+                let ti = bits.trailing_zeros();
+                bits &= bits - 1;
+                let at = self.fire_at[ti as usize];
                 if at < best_t {
                     best_t = at;
-                    best_ti = ti as u32;
+                    best_ti = ti;
                 }
             }
+            self.oracle_pending((best_t, best_ti));
             Some((best_t, best_ti))
         } else {
             loop {
@@ -411,14 +495,22 @@ impl<'x> Lane<'x> {
         Ok(())
     }
 
-    /// One count-condition record: re-evaluate the threshold and apply
-    /// the flip if the truth value changed.
+    /// One count-condition record: re-evaluate the slot's threshold and,
+    /// if its truth value changed, apply the flip to the watcher `tf` or,
+    /// for [`MANY_WATCHERS`], to every watcher in the slot's list.
     #[inline(always)]
-    fn exec_cnt(&mut self, pw: u32, need: u32, ci: usize, tf: u32) {
+    fn exec_cnt(&mut self, sh: &Shared<'_>, pw: u32, need: u32, slot: usize, tf: u32) {
         let now_true = (self.marking.count_raw(pw & !CNT_INV) >= need) == (pw & CNT_INV == 0);
-        if now_true != self.cond_true[ci] {
-            self.cond_true[ci] = now_true;
-            self.apply_flip(tf, now_true);
+        if now_true != self.cond_true[slot] {
+            self.cond_true[slot] = now_true;
+            if tf != MANY_WATCHERS {
+                self.apply_flip(tf, now_true);
+            } else {
+                let (a, b) = (sh.watch_off[slot], sh.watch_off[slot + 1]);
+                for &w in &sh.watch[a as usize..b as usize] {
+                    self.apply_flip(w, now_true);
+                }
+            }
         }
     }
 
@@ -460,7 +552,7 @@ impl<'x> Lane<'x> {
         // tail — runs fully unrolled, skipping the segment iterators.
         if !GEN && hdr == 0x0001_0001 && ops.len() == 7 {
             self.exec_mov(sh, ops[1], ops[2])?;
-            self.exec_cnt(ops[3], ops[4], ops[5] as usize, ops[6]);
+            self.exec_cnt(sh, ops[3], ops[4], ops[5] as usize, ops[6]);
             self.firing_counts[ti] += 1;
             if sh.trace_on {
                 self.trace.record(self.now, TransitionId(ti as u32));
@@ -480,7 +572,7 @@ impl<'x> Lane<'x> {
         }
         pos += 2 * n_mov;
         for rec in ops[pos..pos + 4 * n_cnt].chunks_exact(4) {
-            self.exec_cnt(rec[0], rec[1], rec[2] as usize, rec[3]);
+            self.exec_cnt(sh, rec[0], rec[1], rec[2] as usize, rec[3]);
         }
         pos += 4 * n_cnt;
         let mut pc = pos;
@@ -812,7 +904,7 @@ impl<'x> Lane<'x> {
             let ti = chosen as usize;
             let (f0, f1, r1) = sh.sections(ti);
             self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
-            self.oracle_split(sh);
+            self.oracle_fired(sh);
             self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
             self.bump_zero(sh)?;
         }
@@ -874,7 +966,6 @@ impl<'x> Lane<'x> {
                     let ti = tid as usize;
                     if !SCAN {
                         heap_pop(self.heap);
-                        self.gen[ti] += 1;
                     }
                     self.integrate(sh, time);
                     if time > self.now {
@@ -883,11 +974,10 @@ impl<'x> Lane<'x> {
                     self.now = time;
                     // Consume the schedule entry, then the reference engine's
                     // fire → zero-bump → recheck → immediates order.
-                    self.fire_at[ti] = f64::INFINITY;
-                    self.sched_state[ti] &= !ST_SCHEDULED;
+                    self.cancel::<SCAN>(ti);
                     let (f0, f1, r1) = sh.sections(ti);
                     self.exec_fire::<GEN>(sh, ti, &sh.ops[f0..f1])?;
-                    self.oracle_split(sh);
+                    self.oracle_fired(sh);
                     self.bump_zero(sh)?;
                     self.exec_recheck::<SCAN>(sh, &sh.ops[f1..r1]);
                     self.immediates::<SCAN, GEN>(sh)?;
@@ -901,6 +991,14 @@ impl<'x> Lane<'x> {
                 }
             }
         }
+    }
+}
+
+/// Evaluate a lowered condition from scratch.
+fn eval_init(cs: &CompiledSim, m: &Marking, scratch: &mut Vec<i64>, init: CondInit) -> bool {
+    match init {
+        CondInit::Count { index, lt, need } => (m.count_raw(index) >= need) != lt,
+        CondInit::Compiled(ci) => cs.eval_cond(m, scratch, &cs.conds[ci as usize]),
     }
 }
 
@@ -1000,7 +1098,7 @@ impl<'e> LoweredEngine<'e> {
             gen: vec![0; nt],
             remaining: vec![f64::NAN; nt],
             sched_state,
-            cond_true: vec![false; lw.conds.len()],
+            cond_true: vec![false; lw.n_slots],
             unsat: cs.base_unsat.clone(),
             enabled_imm: vec![0; cs.immediates.len()],
             imm_pos: vec![NOT_QUEUED; nt],
@@ -1024,15 +1122,9 @@ impl<'e> LoweredEngine<'e> {
     /// reference engine's).
     fn init_conditions(&mut self) {
         let cs = self.cs;
-        for (li, &(tid, init)) in self.lw.conds.iter().enumerate() {
-            let m = &self.marking;
-            let t = match init {
-                CondInit::Count { index, lt, need } => (m.count_raw(index) >= need) != lt,
-                CondInit::Compiled(ci) => {
-                    cs.eval_cond(m, &mut self.guard_scratch, &cs.conds[ci as usize])
-                }
-            };
-            self.cond_true[li] = t;
+        for &(tid, init, slot) in &self.lw.conds {
+            let t = eval_init(cs, &self.marking, &mut self.guard_scratch, init);
+            self.cond_true[slot as usize] = t;
             if !t {
                 self.unsat[tid as usize] += 1;
             }
@@ -1058,6 +1150,9 @@ impl<'e> LoweredEngine<'e> {
             ops: &self.lw.ops,
             sec: &self.lw.sec,
             init_ops: &self.lw.init_ops,
+            watch: &self.lw.watch,
+            watch_off: &self.lw.watch_off,
+            conds: &self.lw.conds,
             integ: &self.lw.integ,
             integ_on: self.lw.n_integ > 0,
             slots: &self.lw.slots,
@@ -1076,6 +1171,7 @@ impl<'e> LoweredEngine<'e> {
             now: 0.0,
             zero: 0,
             imm_len: self.imm_len,
+            pending: 0,
             marking: &mut self.marking,
             heap: &mut self.heap,
             fire_at: &mut self.fire_at,

@@ -232,8 +232,8 @@ fn lowered_differential_immediate_conflicts() {
 }
 
 /// A 40-stage tandem line: more than 32 transitions, so the lowered
-/// engine falls back from the stripe scan to the lazy-deletion heap —
-/// this keeps the heap instantiation under differential coverage.
+/// engine falls back from the pending-clock scan to the lazy-deletion
+/// heap — this keeps the heap instantiation under differential coverage.
 #[test]
 fn lowered_differential_wide_net_heap_scheduler() {
     const STAGES: usize = 40;
@@ -258,6 +258,344 @@ fn lowered_differential_wide_net_heap_scheduler() {
     sim.reward_place(net.place_by_name("p0").unwrap());
     sim.reward_place(net.place_by_name("p20").unwrap());
     assert_lowered_identical(&sim, "wide-tandem-heap");
+}
+
+// --- the scan scheduler's pending clocks -----------------------------------
+
+/// Whether a trace holds two firings at the same instant.
+fn has_tie(trace: &[petri_core::sim::TraceEvent]) -> bool {
+    trace.windows(2).any(|w| w[0].time == w[1].time)
+}
+
+/// Four deterministic clocks armed by one firing fall due at the same
+/// instant, armed highest tid first (the generator's outputs run `a3`
+/// to `a0`). They race for one `tok`: the lowest tid must win, and the
+/// losers are cancelled by the immediate cascade that follows. A fifth
+/// clock with a different delay, armed a quarter second later, ties with
+/// them too.
+#[test]
+fn lowered_differential_pending_clock_ties_go_to_the_lowest_tid() {
+    let mut b = NetBuilder::new("ties");
+    let src = b.place("src").tokens(1).build();
+    let tok = b.place("tok").build();
+    let late = b.place("late").build();
+    let a: Vec<PlaceId> = (0..4).map(|i| b.place(format!("a{i}")).build()).collect();
+    let won: Vec<PlaceId> = (0..5).map(|i| b.place(format!("won{i}")).build()).collect();
+    let mut gen = b
+        .transition("gen", Timing::deterministic(1.0))
+        .input(src, 1)
+        .output(src, 1)
+        .output(tok, 1);
+    for &ai in a.iter().rev() {
+        gen = gen.output(ai, 1);
+    }
+    gen.build();
+    let wins: Vec<TransitionId> = (0..4)
+        .map(|i| {
+            b.transition(format!("d{i}"), Timing::deterministic(0.5))
+                .input(a[i], 1)
+                .input(tok, 1)
+                .output(won[i], 1)
+                .build()
+        })
+        .collect();
+    b.transition("arm_late", Timing::deterministic(0.25))
+        .input(a[3], 1)
+        .output(a[3], 1)
+        .output(late, 1)
+        .inhibitor(late, 1)
+        .build();
+    b.transition("d_late", Timing::deterministic(0.25))
+        .input(late, 1)
+        .input(tok, 1)
+        .output(won[4], 1)
+        .build();
+    for (i, &ai) in a.iter().enumerate() {
+        b.transition(format!("reset{i}"), Timing::immediate())
+            .input(ai, 1)
+            .inhibitor(tok, 1)
+            .build();
+    }
+    b.transition("reset_late", Timing::immediate())
+        .input(late, 1)
+        .inhibitor(tok, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(41.0).with_trace(4096));
+    for &w in &won {
+        sim.reward_place(w);
+    }
+    assert_lowered_identical(&sim, "pending-clock-ties");
+    let out = sim.run(3).unwrap();
+    assert!(has_tie(&out.trace), "no two clocks fell due together");
+    // `d0` wins every race it joins; the others never fire.
+    assert_eq!(out.firing_counts[wins[0].index()], 40);
+    for &w in &wins[1..] {
+        assert_eq!(out.firing_counts[w.index()], 0);
+    }
+}
+
+/// RaceAge clocks frozen by a flapping gate and restored when it reopens,
+/// on the scan scheduler: a frozen clock leaves the pending set and must
+/// come back with its remaining delay.
+#[test]
+fn lowered_differential_pending_clocks_race_age_freeze_and_restore() {
+    let mut b = NetBuilder::new("race-age");
+    let gate = b.place("gate").tokens(1).build();
+    let shut = b.place("shut").build();
+    let jobs = b.place("jobs").tokens(2).build();
+    let done = b.place("done").build();
+    let close = b
+        .transition("close", Timing::exponential(1.5))
+        .input(gate, 1)
+        .output(shut, 1)
+        .build();
+    b.transition("open", Timing::exponential(2.0))
+        .input(shut, 1)
+        .output(gate, 1)
+        .build();
+    let work = b
+        .transition("work", Timing::deterministic(0.75))
+        .input(jobs, 1)
+        .output(done, 1)
+        .guard(Expr::count(gate).gt_c(0))
+        .memory(MemoryPolicy::RaceAge)
+        .build();
+    b.transition("work_u", Timing::uniform(0.2, 0.9))
+        .input(jobs, 1)
+        .output(done, 1)
+        .inhibitor(shut, 1)
+        .memory(MemoryPolicy::RaceAge)
+        .build();
+    b.transition("recycle", Timing::exponential(3.0))
+        .input(done, 1)
+        .output(jobs, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(200.0).with_trace(256));
+    sim.reward_place(done);
+    assert_lowered_identical(&sim, "race-age-freeze");
+    let out = sim.run(1).unwrap();
+    assert!(out.firing_counts[close.index()] > 0 && out.firing_counts[work.index()] > 0);
+}
+
+/// A Resample clock that stays enabled while the marking keeps changing:
+/// the scan scheduler redraws it in place, without leaving the pending
+/// set.
+#[test]
+fn lowered_differential_pending_clocks_resample_redraw() {
+    let mut b = NetBuilder::new("resample");
+    let q = b.place("q").build();
+    let hold = b.place("hold").tokens(1).build();
+    let fired = b.place("fired").build();
+    b.transition("arrive", Timing::exponential(4.0))
+        .output(q, 1)
+        .build();
+    b.transition("serve", Timing::exponential(5.0))
+        .input(q, 1)
+        .build();
+    let slow = b
+        .transition("slow", Timing::deterministic(0.6))
+        .input(hold, 1)
+        .output(fired, 1)
+        .memory(MemoryPolicy::Resample)
+        .build();
+    b.transition("rs_exp", Timing::exponential(0.5))
+        .input(hold, 1)
+        .output(hold, 1)
+        .memory(MemoryPolicy::Resample)
+        .build();
+    b.transition("back", Timing::exponential(1.0))
+        .input(fired, 1)
+        .output(hold, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(128));
+    sim.reward_place(q);
+    sim.reward_place(fired);
+    assert_lowered_identical(&sim, "resample-redraw");
+    // Redraws keep pushing `slow` back: it fires, but rarely.
+    let out = sim.run(2).unwrap();
+    assert!(out.firing_counts[slow.index()] > 0);
+}
+
+/// One immediate cascade cancels a timed clock (`i1` takes its input)
+/// and re-arms it (`i2` puts the token back) at the same instant: the
+/// clock leaves the pending set and rejoins it with a fresh deadline.
+#[test]
+fn lowered_differential_pending_clocks_cancel_and_rearm_in_one_cascade() {
+    let mut b = NetBuilder::new("rearm");
+    let p = b.place("p").tokens(1).build();
+    let x = b.place("x").build();
+    let y = b.place("y").build();
+    let out_p = b.place("out").build();
+    b.transition("kick", Timing::exponential(1.2))
+        .output(x, 1)
+        .build();
+    let i1 = b
+        .transition("i1", Timing::immediate_pri(2))
+        .input(p, 1)
+        .input(x, 1)
+        .output(y, 1)
+        .build();
+    b.transition("i2", Timing::immediate_pri(1))
+        .input(y, 1)
+        .output(p, 1)
+        .build();
+    let tick = b
+        .transition("tick", Timing::deterministic(0.7))
+        .input(p, 1)
+        .output(p, 1)
+        .output(out_p, 1)
+        .build();
+    b.transition("tick_exp", Timing::exponential(2.0))
+        .input(p, 1)
+        .output(p, 1)
+        .build();
+    b.transition("drain", Timing::exponential(3.0))
+        .input(out_p, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(100.0).with_trace(256));
+    sim.reward_place(out_p);
+    assert_lowered_identical(&sim, "cancel-rearm");
+    // Every kick restarts `tick`'s 0.7 s clock, so it fires less often
+    // than an undisturbed clock would.
+    let out = sim.run(4).unwrap();
+    assert!(out.firing_counts[i1.index()] > 0);
+    assert!(out.firing_counts[tick.index()] < (100.0 / 0.7) as u64);
+}
+
+/// A ring of `n` transitions with mixed delays and several tokens. At 32
+/// transitions (the scan scheduler's ceiling) it runs the pending-clock
+/// scan, at 33 the heap; both must match the reference engine, exact
+/// deterministic ties included.
+fn ring_net(n: usize) -> Net {
+    let mut b = NetBuilder::new("ring");
+    let places: Vec<PlaceId> = (0..n)
+        .map(|i| {
+            b.place(format!("p{i}"))
+                .tokens((i % 3 == 0) as usize)
+                .build()
+        })
+        .collect();
+    for i in 0..n {
+        let timing = match i % 4 {
+            0 => Timing::deterministic(0.5),
+            1 => Timing::exponential(2.0),
+            2 => Timing::deterministic(0.25),
+            _ => Timing::uniform(0.1, 0.4),
+        };
+        b.transition(format!("t{i}"), timing)
+            .input(places[i], 1)
+            .output(places[(i + 1) % n], 1)
+            .build();
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn lowered_differential_scan_ceiling_and_heap_fallback() {
+    for n in [32, 33] {
+        let net = ring_net(n);
+        assert_eq!(net.num_transitions(), n);
+        let mut sim = Simulator::new(&net, SimConfig::for_horizon(50.0).with_trace(512));
+        sim.reward_place(net.place_by_name("p0").unwrap());
+        assert_lowered_identical(&sim, &format!("ring-{n}"));
+        assert!(has_tie(&sim.run(0).unwrap().trace), "ring-{n} has no ties");
+    }
+}
+
+// --- shared truth slots ----------------------------------------------------
+
+/// Count conditions that share a truth slot, and near-misses that must
+/// not: `dup` tests `#a >= 1` three times (input arc plus two guard
+/// terms), so it is three watchers of one slot; `pair`'s input arc
+/// `#b >= 2` and `lone`'s inhibitor `#b < 2` read the same place and
+/// threshold but are distinct slots; `#c >= 1` is watched by the
+/// immediate `take_c` and the timed `slow_c`.
+#[test]
+fn lowered_differential_shared_truth_slots() {
+    let mut b = NetBuilder::new("shared-slots");
+    let a = b.place("a").build();
+    let bp = b.place("b").build();
+    let c = b.place("c").build();
+    let d = b.place("d").build();
+    let sink = b.place("sink").build();
+    b.transition("gen_a", Timing::exponential(2.0))
+        .output(a, 1)
+        .build();
+    let dup = b
+        .transition("dup", Timing::exponential(3.0))
+        .input(a, 1)
+        .output(sink, 1)
+        .guard(Expr::count(a).gt_c(0).and(Expr::count(a).ge_c(1)))
+        .build();
+    b.transition("gen_b", Timing::exponential(2.5))
+        .output(bp, 1)
+        .build();
+    let pair = b
+        .transition("pair", Timing::deterministic(0.3))
+        .input(bp, 2)
+        .output(sink, 1)
+        .build();
+    let lone = b
+        .transition("lone", Timing::exponential(1.0))
+        .inhibitor(bp, 2)
+        .output(d, 1)
+        .build();
+    b.transition("gen_c", Timing::exponential(1.5))
+        .output(c, 1)
+        .build();
+    let take_c = b
+        .transition("take_c", Timing::immediate())
+        .input(c, 1)
+        .input(d, 1)
+        .output(sink, 1)
+        .build();
+    let slow_c = b
+        .transition("slow_c", Timing::exponential(4.0))
+        .input(c, 1)
+        .output(sink, 1)
+        .build();
+    b.transition("drain", Timing::exponential(6.0))
+        .input(sink, 1)
+        .build();
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(300.0).with_trace(128));
+    sim.reward_place(a);
+    sim.reward_place(bp);
+    sim.reward_place(c);
+    assert!(sim.lowers_dense());
+    assert_lowered_identical(&sim, "shared-slots");
+    let out = sim.run(5).unwrap();
+    for t in [dup, pair, lone, take_c, slow_c] {
+        assert!(out.firing_counts[t.index()] > 0, "{t:?} never fired");
+    }
+}
+
+/// 300 transitions draw from one place with the same multiplicity: one
+/// truth slot whose every flip fans out to 300 watchers (heap
+/// scheduler).
+#[test]
+fn lowered_differential_condition_with_hundreds_of_watchers() {
+    let mut b = NetBuilder::new("many-watchers");
+    let q = b.place("q").build();
+    b.transition("gen", Timing::exponential(5.0))
+        .output(q, 1)
+        .build();
+    for i in 0..300 {
+        b.transition(
+            format!("take{i}"),
+            Timing::exponential(0.01 * (1 + i % 7) as f64),
+        )
+        .input(q, 1)
+        .build();
+    }
+    let net = b.build().unwrap();
+    let mut sim = Simulator::new(&net, SimConfig::for_horizon(20.0).with_trace(64));
+    sim.reward_place(q);
+    assert_lowered_identical(&sim, "many-watchers");
 }
 
 /// Error outcomes must match exactly too: an overflowing run trips the
